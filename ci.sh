@@ -9,9 +9,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+echo "==> tier-1: cargo build --release && cargo test -q (every workspace crate)"
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 
 echo "==> benches compile"
 cargo bench --workspace --no-run
@@ -53,13 +53,13 @@ cargo test -q --release -p np-quant -- \
 echo "==> forced-scalar leg: NP_ISA pins the portable kernel bodies"
 # The same exactness suites with SIMD dispatch disabled, so the scalar
 # fallbacks are covered even on an AVX2 host (and an AVX2-only bug cannot
-# hide behind a scalar-only CI box, or vice versa).
+# hide behind a scalar-only CI box, or vice versa). The explicitly
+# raw-i8 programs of the isa-parity suite run the portable i8 body here.
 NP_ISA=scalar cargo test -q --release -p np-quant -- \
     microkernel_matches_qgemm_row_at_ragged_shapes \
     depthwise_fast_path_matches_reference_at_ragged_shapes \
     i8_microkernel_matches_i16_reference_at_adversarial_corners \
-    batched_microkernel_equals_per_frame_runs
-NP_ISA=scalar-i8 cargo test -q --release -p np-quant -- \
+    batched_microkernel_equals_per_frame_runs \
     i8_program_equals_scalar_i16_program_across_batches \
     run_int_batched_equals_independent_prepacked_runs
 NP_ISA=scalar cargo test -q --release --test prepacked

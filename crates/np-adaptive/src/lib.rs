@@ -28,7 +28,6 @@
 //! and threshold sweeps ([`sweep`]) produce the MAE-vs-cycles operating
 //! curves of the paper's Figs. 4–6 and the deployment rows of Table II.
 
-pub mod collector;
 pub mod cost;
 pub mod error_map;
 pub mod eval;
@@ -38,7 +37,6 @@ pub mod policy;
 pub mod runner;
 pub mod sweep;
 
-pub use collector::BatchCollector;
 pub use cost::{CostModel, EnsembleId};
 pub use error_map::ErrorMap;
 pub use eval::{evaluate_policy, EvalResult};

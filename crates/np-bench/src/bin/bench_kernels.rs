@@ -17,8 +17,8 @@
 use np_quant::kernels::{qconv2d_reference, qconv2d_with, QConvGeometry};
 use np_quant::lowering::{patch_stride, u8_lowered_len};
 use np_quant::microkernel::{
-    fold_offset_bias, kernel_isa, pack_conv_panels, pack_conv_panels_i8,
-    qconv_panels_i8_batch_into, qconv_panels_i8_into, qconv_panels_into, KernelIsa, NR_I8,
+    fold_offset_bias, kernel_isa, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_into,
+    qconv_panels_into, KernelIsa, NR_I8,
 };
 use np_quant::requant::FixedMultiplier;
 
@@ -328,6 +328,7 @@ fn main() {
                 &mults,
                 5,
                 true,
+                1,
                 &mut out,
             );
             black_box(&out);
@@ -343,6 +344,7 @@ fn main() {
                 &mults,
                 5,
                 true,
+                1,
                 &mut out8,
             );
             black_box(&out8);
@@ -442,32 +444,18 @@ fn main() {
                 for g in 0..groups {
                     let low = &lowered[g * b * flen..(g + 1) * b * flen];
                     let o = &mut out[g * b * oc * cols..(g + 1) * b * oc * cols];
-                    if b == 1 {
-                        qconv_panels_i8_into(
-                            Pool::serial(),
-                            &packed,
-                            patch,
-                            black_box(low),
-                            &fb,
-                            &mults,
-                            5,
-                            true,
-                            o,
-                        );
-                    } else {
-                        qconv_panels_i8_batch_into(
-                            Pool::serial(),
-                            &packed,
-                            patch,
-                            black_box(low),
-                            &fb,
-                            &mults,
-                            5,
-                            true,
-                            b,
-                            o,
-                        );
-                    }
+                    qconv_panels_i8_into(
+                        Pool::serial(),
+                        &packed,
+                        patch,
+                        black_box(low),
+                        &fb,
+                        &mults,
+                        5,
+                        true,
+                        b,
+                        o,
+                    );
                 }
                 black_box(&out);
             });

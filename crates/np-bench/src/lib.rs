@@ -17,7 +17,8 @@
 //! | `ablation` | design-choice ablations called out in DESIGN.md |
 //!
 //! Scale is controlled by `NP_SCALE`: `full` (default — paper-shaped
-//! datasets, more epochs) or `fast` (small datasets for smoke runs).
+//! datasets, more epochs) or `fast` (small datasets for smoke runs); any
+//! other value warns once and runs at full scale.
 
 #[cfg(feature = "trace")]
 pub mod calibrate;
@@ -34,6 +35,18 @@ use np_nn::init::SmallRng;
 use np_nn::Sequential;
 use np_zoo::{cache, train_aux, train_regressor, ModelId, TrainRecipe};
 
+/// Pure parser behind the `NP_SCALE` override. `Ok(None)` means unset
+/// (use the default); `Err` carries the rejected value for the warn-once
+/// path, like `NP_THREADS` and `NP_ISA`.
+fn parse_np_scale(raw: Option<&str>) -> Result<Option<Scale>, String> {
+    let Some(s) = raw else { return Ok(None) };
+    match s.trim() {
+        "fast" => Ok(Some(Scale::Fast)),
+        "full" => Ok(Some(Scale::Full)),
+        other => Err(other.to_string()),
+    }
+}
+
 /// Experiment scale: dataset size and training length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -44,11 +57,18 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `NP_SCALE` from the environment.
+    /// Reads `NP_SCALE` from the environment (`parse_np_scale`): full
+    /// scale when unset. Any other value than `fast`/`full` warns once
+    /// through the np-trace facade and falls back to full scale, which
+    /// trains the zoo for minutes.
     pub fn from_env() -> Scale {
-        match std::env::var("NP_SCALE").as_deref() {
-            Ok("fast") => Scale::Fast,
-            _ => Scale::Full,
+        let raw = std::env::var("NP_SCALE").ok();
+        match parse_np_scale(raw.as_deref()) {
+            Ok(scale) => scale.unwrap_or(Scale::Full),
+            Err(bad) => {
+                np_trace::warn_once!("ignoring NP_SCALE={bad:?}: expected fast|full, using full");
+                Scale::Full
+            }
         }
     }
 
@@ -329,6 +349,16 @@ mod tests {
         // Does not set the variable: default must be Full.
         if std::env::var("NP_SCALE").is_err() {
             assert_eq!(Scale::from_env(), Scale::Full);
+        }
+    }
+
+    #[test]
+    fn np_scale_parser_accepts_fast_and_full_only() {
+        assert_eq!(parse_np_scale(None), Ok(None));
+        assert_eq!(parse_np_scale(Some("fast")), Ok(Some(Scale::Fast)));
+        assert_eq!(parse_np_scale(Some(" full\n")), Ok(Some(Scale::Full)));
+        for bad in ["FAST", "quick", "small", "1", ""] {
+            assert_eq!(parse_np_scale(Some(bad)), Err(bad.to_string()));
         }
     }
 

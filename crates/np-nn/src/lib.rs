@@ -39,7 +39,6 @@
 //! ```
 
 pub mod describe;
-pub mod fprogram;
 pub mod init;
 pub mod layer;
 pub mod layers;
@@ -50,7 +49,6 @@ pub mod serialize;
 pub mod trainer;
 
 pub use describe::{LayerDesc, LayerKind, NetworkDesc};
-pub use fprogram::{FScratch, FloatProgram};
 pub use layer::{Layer, Param};
 pub use sequential::Sequential;
 

@@ -118,12 +118,12 @@ pub fn qconv2d_with(
     let (oh, ow) = geo.out_hw(h, w);
     let cols = oh * ow;
     let mut lowered = vec![0i16; cols * patch_stride(patch)];
-    qim2row_into(input, h, w, in_zp, geo, &mut lowered);
+    qim2row_into(input, 1, h, w, in_zp, geo, &mut lowered);
     let packed = pack_conv_panels(weight, geo.out_channels, patch);
     let mut out = vec![0i8; geo.out_channels * cols];
     let pool = pool.for_work(geo.out_channels * patch * cols);
     qconv_panels_into(
-        pool, &packed, patch, &lowered, bias, mults, out_zp, relu, &mut out,
+        pool, &packed, patch, &lowered, bias, mults, out_zp, relu, 1, &mut out,
     );
     out
 }

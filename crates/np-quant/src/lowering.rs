@@ -82,12 +82,14 @@ pub fn qim2col_into(
     }
 }
 
-/// The transpose of [`qim2col_into`]: lowers one CHW i8 image into
-/// *patch-major* (im2row) layout, where output pixel `col = oy*W_out + ox`
-/// owns the contiguous slice `lowered[col*stride..col*stride + patch]`
-/// (with `stride = patch_stride(patch)`) holding its centered receptive
-/// field in `(ci, ky, kx)` order; the `stride - patch` tail slots stay
-/// zero.
+/// The transpose of [`qim2col_into`]: lowers `batch` equally-shaped CHW
+/// i8 frames (concatenated NCHW in `input`) into *patch-major* (im2row)
+/// layout, where output pixel `col = oy*W_out + ox` of frame `b` owns the
+/// contiguous slice `lowered[(b*cols + col)*stride..][..patch]` (with
+/// `cols = H_out*W_out` and `stride = patch_stride(patch)`) holding its
+/// centered receptive field in `(ci, ky, kx)` order; the `stride - patch`
+/// tail slots stay zero. Frame `b`'s columns are byte-identical to a
+/// lowering of that frame alone.
 ///
 /// Patch-major is the layout the prepacked executor wants: one output
 /// pixel's convolution becomes a dot product of two contiguous i16
@@ -96,12 +98,38 @@ pub fn qim2col_into(
 /// `SumDotp` structure PULP-NN uses on GAP8. Rounding the stride up to
 /// [`patch_stride`] keeps every patch vector-aligned and lets the dot
 /// run without a scalar remainder loop: the padding lanes multiply
-/// zero-filled weight lanes, contributing nothing.
+/// zero-filled weight lanes, contributing nothing. Concatenating the
+/// frames' columns lets the microkernel sweep each weight panel across
+/// the whole batch in one invocation.
 ///
 /// # Panics
 ///
-/// Panics if `input` or `lowered` have the wrong length.
+/// Panics if `input` or `lowered` have the wrong length, or `batch == 0`.
 pub fn qim2row_into(
+    input: &[i8],
+    batch: usize,
+    h: usize,
+    w: usize,
+    in_zp: i32,
+    geo: QConvGeometry,
+    lowered: &mut [i16],
+) {
+    assert!(batch > 0, "batch must be at least 1");
+    let frame_len = geo.in_channels * h * w;
+    assert_eq!(input.len(), batch * frame_len, "input size");
+    let (oh, ow) = geo.out_hw(h, w);
+    let frame_lowered = oh * ow * patch_stride(geo.in_channels * geo.kernel * geo.kernel);
+    assert_eq!(lowered.len(), batch * frame_lowered, "lowered scratch size");
+    for (frame, dst) in input
+        .chunks_exact(frame_len)
+        .zip(lowered.chunks_exact_mut(frame_lowered))
+    {
+        qim2row_frame(frame, h, w, in_zp, geo, dst);
+    }
+}
+
+/// One frame of [`qim2row_into`].
+fn qim2row_frame(
     input: &[i8],
     h: usize,
     w: usize,
@@ -109,13 +137,11 @@ pub fn qim2row_into(
     geo: QConvGeometry,
     lowered: &mut [i16],
 ) {
-    assert_eq!(input.len(), geo.in_channels * h * w, "input size");
     let (oh, ow) = geo.out_hw(h, w);
     let k = geo.kernel;
     let pad = geo.padding as isize;
     let patch = geo.in_channels * k * k;
     let stride = patch_stride(patch);
-    assert_eq!(lowered.len(), oh * ow * stride, "lowered scratch size");
     lowered.fill(0);
 
     // Pointwise fast path: a 1x1/s1/p0 "patch" is just the pixel's channel
@@ -156,50 +182,6 @@ pub fn qim2row_into(
     }
 }
 
-/// Batched [`qim2row_into`]: lowers `batch` equally-shaped CHW frames
-/// (concatenated NCHW in `input`) into one patch-major buffer where the
-/// columns of all frames are concatenated frame-major — global column
-/// `b * cols + col` (with `cols = H_out*W_out` per frame) owns the slice
-/// `lowered[(b*cols + col)*stride ..][..patch]` holding frame `b`'s
-/// centered receptive field for output pixel `col`.
-///
-/// The microkernel then sweeps `batch * cols` columns in one invocation,
-/// so each packed weight panel is streamed from memory once per *batch*
-/// instead of once per frame — the amortization the batched runtime is
-/// built on. Per frame the layout is byte-identical to [`qim2row_into`],
-/// which is what makes the batched conv bit-exact against per-frame runs.
-///
-/// # Panics
-///
-/// Panics if `input` or `lowered` have the wrong length, or `batch == 0`.
-pub fn qim2row_batch_into(
-    input: &[i8],
-    batch: usize,
-    h: usize,
-    w: usize,
-    in_zp: i32,
-    geo: QConvGeometry,
-    lowered: &mut [i16],
-) {
-    assert!(batch > 0, "batch must be at least 1");
-    let frame_len = geo.in_channels * h * w;
-    assert_eq!(input.len(), batch * frame_len, "input size");
-    let (oh, ow) = geo.out_hw(h, w);
-    let stride = patch_stride(geo.in_channels * geo.kernel * geo.kernel);
-    let frame_lowered = oh * ow * stride;
-    assert_eq!(lowered.len(), batch * frame_lowered, "lowered scratch size");
-    for b in 0..batch {
-        qim2row_into(
-            &input[b * frame_len..(b + 1) * frame_len],
-            h,
-            w,
-            in_zp,
-            geo,
-            &mut lowered[b * frame_lowered..(b + 1) * frame_lowered],
-        );
-    }
-}
-
 /// The padded per-patch stride of the im2row layout: `patch` rounded up
 /// to a whole number of [`np_tensor::im2col::I16_LANES`] i16 lanes, so
 /// every patch starts 16-byte aligned and dots have no scalar remainder.
@@ -221,8 +203,9 @@ pub fn u8_lowered_len(cols: usize, patch: usize) -> usize {
     cols.div_ceil(crate::microkernel::NR_I8) * crate::microkernel::NR_I8 * patch_stride(patch)
 }
 
-/// The raw-int8 counterpart of [`qim2row_into`]: lowers one CHW i8 image
-/// into the *offset-binary u8* column-blocked layout the i8 microkernel
+/// The raw-int8 counterpart of [`qim2row_into`]: lowers `batch`
+/// equally-shaped CHW i8 frames (concatenated NCHW in `input`) into the
+/// *offset-binary u8* column-blocked layout the i8 microkernel
 /// ([`crate::microkernel::qconv_panels_i8_into`]) consumes.
 ///
 /// Every activation is stored as `u = x + 128` (`x ^ 0x80` in two's
@@ -242,10 +225,40 @@ pub fn u8_lowered_len(cols: usize, patch: usize) -> usize {
 /// 32-byte vector load yields 16 columns × one row pair — exactly the
 /// operand shape of a `pmaddwd` reduction step.
 ///
+/// The batch is *per-frame blocked*: frame `b` owns
+/// `lowered[b*flen..(b+1)*flen]` with `flen = u8_lowered_len(cols,
+/// patch)`, byte-identical to a lowering of that frame alone. Column
+/// blocks therefore never straddle a frame boundary, which keeps the
+/// kernel's frame-chunked parallelism block-aligned.
+///
 /// # Panics
 ///
-/// Panics if `input` or `lowered` have the wrong length.
+/// Panics if `input` or `lowered` have the wrong length, or `batch == 0`.
 pub fn qim2row_u8_into(
+    input: &[i8],
+    batch: usize,
+    h: usize,
+    w: usize,
+    in_zp: i32,
+    geo: QConvGeometry,
+    lowered: &mut [u8],
+) {
+    assert!(batch > 0, "batch must be at least 1");
+    let frame_len = geo.in_channels * h * w;
+    assert_eq!(input.len(), batch * frame_len, "input size");
+    let (oh, ow) = geo.out_hw(h, w);
+    let frame_lowered = u8_lowered_len(oh * ow, geo.in_channels * geo.kernel * geo.kernel);
+    assert_eq!(lowered.len(), batch * frame_lowered, "lowered scratch size");
+    for (frame, dst) in input
+        .chunks_exact(frame_len)
+        .zip(lowered.chunks_exact_mut(frame_lowered))
+    {
+        qim2row_u8_frame(frame, h, w, in_zp, geo, dst);
+    }
+}
+
+/// One frame of [`qim2row_u8_into`].
+fn qim2row_u8_frame(
     input: &[i8],
     h: usize,
     w: usize,
@@ -254,18 +267,11 @@ pub fn qim2row_u8_into(
     lowered: &mut [u8],
 ) {
     use crate::microkernel::NR_I8;
-    assert_eq!(input.len(), geo.in_channels * h * w, "input size");
     let (oh, ow) = geo.out_hw(h, w);
     let k = geo.kernel;
     let pad = geo.padding as isize;
     let patch = geo.in_channels * k * k;
     let ps = patch_stride(patch);
-    let cols = oh * ow;
-    assert_eq!(
-        lowered.len(),
-        u8_lowered_len(cols, patch),
-        "lowered scratch size"
-    );
     let pad_byte = (in_zp + 128) as u8;
     lowered.fill(pad_byte);
 
@@ -308,45 +314,6 @@ pub fn qim2row_u8_into(
                 }
             }
         }
-    }
-}
-
-/// Batched [`qim2row_u8_into`]: lowers `batch` equally-shaped CHW frames
-/// (concatenated NCHW in `input`) into one u8 buffer, *per-frame blocked* —
-/// frame `b` owns `lowered[b*flen..(b+1)*flen]` with
-/// `flen = u8_lowered_len(cols, patch)`, byte-identical to a single-frame
-/// lowering of that frame. Column blocks therefore never straddle a frame
-/// boundary, which keeps the batched kernel's frame-chunked parallelism
-/// block-aligned and its results bit-exact against per-frame runs.
-///
-/// # Panics
-///
-/// Panics if `input` or `lowered` have the wrong length, or `batch == 0`.
-pub fn qim2row_u8_batch_into(
-    input: &[i8],
-    batch: usize,
-    h: usize,
-    w: usize,
-    in_zp: i32,
-    geo: QConvGeometry,
-    lowered: &mut [u8],
-) {
-    assert!(batch > 0, "batch must be at least 1");
-    let frame_len = geo.in_channels * h * w;
-    assert_eq!(input.len(), batch * frame_len, "input size");
-    let (oh, ow) = geo.out_hw(h, w);
-    let patch = geo.in_channels * geo.kernel * geo.kernel;
-    let frame_lowered = u8_lowered_len(oh * ow, patch);
-    assert_eq!(lowered.len(), batch * frame_lowered, "lowered scratch size");
-    for b in 0..batch {
-        qim2row_u8_into(
-            &input[b * frame_len..(b + 1) * frame_len],
-            h,
-            w,
-            in_zp,
-            geo,
-            &mut lowered[b * frame_lowered..(b + 1) * frame_lowered],
-        );
     }
 }
 
@@ -481,7 +448,7 @@ mod tests {
         let input: Vec<i8> = (0..5 * h * w).map(|i| (i * 11 % 251) as i8).collect();
         let ps = patch_stride(5);
         let mut got = vec![55i16; h * w * ps];
-        qim2row_into(&input, h, w, in_zp, geo, &mut got);
+        qim2row_into(&input, 1, h, w, in_zp, geo, &mut got);
         for col in 0..h * w {
             for ci in 0..5 {
                 assert_eq!(
@@ -528,9 +495,9 @@ mod tests {
                 let patch = geo.in_channels * geo.kernel * geo.kernel;
                 let ps = patch_stride(patch);
                 let mut want16 = vec![0i16; cols * ps];
-                qim2row_into(&input, h, w, in_zp, geo, &mut want16);
+                qim2row_into(&input, 1, h, w, in_zp, geo, &mut want16);
                 let mut got = vec![0xAAu8; u8_lowered_len(cols, patch)];
-                qim2row_u8_into(&input, h, w, in_zp, geo, &mut got);
+                qim2row_u8_into(&input, 1, h, w, in_zp, geo, &mut got);
                 let pad_byte = (in_zp + 128) as u8;
                 let mut live = vec![false; got.len()];
                 for col in 0..cols {
@@ -588,7 +555,7 @@ mod tests {
         assert!(ps > patch, "test should exercise a padded tail");
         // Pre-dirty the scratch to prove the fill is complete.
         let mut lowrow = vec![99i16; cols * ps];
-        qim2row_into(&input, h, w, in_zp, geo, &mut lowrow);
+        qim2row_into(&input, 1, h, w, in_zp, geo, &mut lowrow);
         let wide = widen_weight_rows(&weight, 3, patch);
         for co in 0..3 {
             for col in 0..cols {

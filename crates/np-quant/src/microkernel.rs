@@ -125,23 +125,30 @@ fn dot_tile_4x1(w: [&[i16]; MR], xp: &[i16]) -> [i32; MR] {
     a
 }
 
-/// Lowered int8 convolution: `out[c][col] = requant(bias[c] + packed[c] ·
-/// lowered[col])` with the fused ReLU clamp, register-blocked and
-/// parallelized over whole channel panels.
+/// Lowered int8 convolution of `frames` frames: `out[f][c][col] =
+/// requant(bias[c] + packed[c] · lowered[f][col])` with the fused ReLU
+/// clamp, register-blocked and parallelized.
 ///
 /// * `packed`: [`pack_conv_panels`] output for `bias.len()` channels
-/// * `lowered`: patch-major im2row matrix, `cols * patch_stride(patch)`
-/// * `out`: `bias.len() * cols` plane-major i8 output
+/// * `lowered`: [`crate::lowering::qim2row_into`] output — `frames * cols`
+///   patch-major columns, frame-major
+/// * `out`: `frames * bias.len() * cols` i8, NCHW (frame `f` owns
+///   `out[f*C*cols..(f+1)*C*cols]`, plane-major)
 ///
-/// Work is chunked over panels via [`Pool::chunk_len_for`], so a chunk
-/// boundary can never split a panel; results are bit-identical to
-/// per-channel [`qgemm_row`] + [`requantize_to_i8`] at any pool width.
+/// One frame is chunked over whole channel panels, several frames over
+/// whole frames ([`for_each_conv_chunk`]). Across frames each [`MR`]-row
+/// weight panel is streamed once per [`PIXEL_BLOCK`] of the *whole batch*
+/// rather than once per frame. Each output element is one `r`-ascending
+/// integer dot, so results are bit-identical to per-channel
+/// [`qgemm_row`] + [`requantize_to_i8`] at any pool width and any
+/// `frames`.
 ///
 /// # Panics
 ///
-/// Panics on size mismatches.
+/// Panics on size mismatches or `frames == 0`.
 ///
 /// [`qgemm_row`]: crate::lowering::qgemm_row
+/// [`requantize_to_i8`]: crate::requant::requantize_to_i8
 #[allow(clippy::too_many_arguments)]
 pub fn qconv_panels_into(
     pool: Pool,
@@ -152,46 +159,42 @@ pub fn qconv_panels_into(
     mults: &[FixedMultiplier],
     out_zp: i32,
     relu: bool,
+    frames: usize,
     out: &mut [i8],
 ) {
+    assert!(frames > 0, "frames must be at least 1");
     let out_channels = bias.len();
     if out_channels == 0 || out.is_empty() {
         return;
     }
     let ps = patch_stride(patch);
-    let cols = out.len() / out_channels;
-    assert_eq!(out.len(), out_channels * cols, "output size");
-    assert_eq!(lowered.len(), cols * ps, "lowered size");
+    let frame_out = out.len() / frames;
+    assert_eq!(out.len(), frames * frame_out, "output size");
+    let cols = frame_out / out_channels;
+    assert_eq!(frame_out, out_channels * cols, "output size");
+    let fstride = cols * ps;
+    assert_eq!(lowered.len(), frames * fstride, "lowered size");
     assert_eq!(
         packed.len(),
         out_channels.div_ceil(MR) * MR * ps,
         "packed weight size"
     );
     assert_eq!(mults.len(), out_channels, "multiplier count");
-    let floor = if relu {
-        out_zp.clamp(-128, 127) as i8
-    } else {
-        i8::MIN
-    };
-
-    let n_panels = out_channels.div_ceil(MR);
-    let chunk_len = pool.chunk_len_for(n_panels, MR * cols);
-    let panels_per_chunk = chunk_len / (MR * cols);
+    let floor = relu_floor(relu, out_zp);
     #[cfg(target_arch = "x86_64")]
     let has_avx2 = simd_enabled();
-    pool.for_each_chunk(out, chunk_len, |idx, chunk| {
-        // First output channel of this chunk; always panel-aligned.
-        let c_base = idx * panels_per_chunk * MR;
+    for_each_conv_chunk(pool, out, frames, out_channels, |at, chunk| {
+        let nf = chunk.len() / at.frame_out;
         let args = ChunkArgs {
             packed,
             ps,
-            lowered,
+            lowered: &lowered[at.frame * fstride..(at.frame + nf) * fstride],
             bias,
             mults,
             out_zp,
             floor,
             cols,
-            c_base,
+            at,
         };
         #[cfg(target_arch = "x86_64")]
         if has_avx2 {
@@ -204,97 +207,77 @@ pub fn qconv_panels_into(
     });
 }
 
-/// Batched [`qconv_panels_into`]: one sweep of the packed weight panels
-/// over the concatenated columns of `batch` frames.
-///
-/// * `lowered`: [`crate::lowering::qim2row_batch_into`] output —
-///   `batch * cols` patch-major columns, frame-major
-/// * `out`: `batch * out_channels * cols` i8, NCHW (frame `b` owns
-///   `out[b*C*cols..(b+1)*C*cols]` in the same plane-major layout the
-///   single-frame kernel writes)
-///
-/// This is where the batch win lives: each [`MR`]-row weight panel is
-/// streamed from memory once per [`PIXEL_BLOCK`] of the *whole batch*
-/// instead of once per frame, which matters exactly for the skinny
-/// GEMV-shaped layers (few output pixels per frame) that dominate the
-/// paper's 160×96 ensembles. Each output element is still one `r`-ascending
-/// integer dot, so results are bit-identical to running the single-frame
-/// kernel per frame, at any pool width.
-///
-/// Work is chunked over whole frames, so a chunk boundary never splits a
-/// frame's output plane.
-///
-/// # Panics
-///
-/// Panics on size mismatches or `batch == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn qconv_panels_batch_into(
-    pool: Pool,
-    packed: &[i16],
-    patch: usize,
-    lowered: &[i16],
-    bias: &[i32],
-    mults: &[FixedMultiplier],
-    out_zp: i32,
-    relu: bool,
-    batch: usize,
-    out: &mut [i8],
-) {
-    assert!(batch > 0, "batch must be at least 1");
-    let out_channels = bias.len();
-    if out_channels == 0 || out.is_empty() {
-        return;
-    }
-    let ps = patch_stride(patch);
-    let frame_out = out.len() / batch;
-    assert_eq!(out.len(), batch * frame_out, "output size");
-    let cols = frame_out / out_channels;
-    assert_eq!(frame_out, out_channels * cols, "output size");
-    assert_eq!(lowered.len(), batch * cols * ps, "lowered size");
-    assert_eq!(
-        packed.len(),
-        out_channels.div_ceil(MR) * MR * ps,
-        "packed weight size"
-    );
-    assert_eq!(mults.len(), out_channels, "multiplier count");
-    let floor = if relu {
+/// The ReLU floor of the fused epilogues: the output zero point clamped
+/// to i8, or `i8::MIN` (no clamp) without ReLU.
+fn relu_floor(relu: bool, out_zp: i32) -> i8 {
+    if relu {
         out_zp.clamp(-128, 127) as i8
     } else {
         i8::MIN
-    };
-
-    let chunk_len = pool.chunk_len_for(batch, frame_out);
-    let frames_per_chunk = chunk_len / frame_out;
-    #[cfg(target_arch = "x86_64")]
-    let has_avx2 = simd_enabled();
-    pool.for_each_chunk(out, chunk_len, |idx, chunk| {
-        let f_base = idx * frames_per_chunk;
-        let nf = chunk.len() / frame_out;
-        let args = BatchChunkArgs {
-            packed,
-            ps,
-            lowered: &lowered[f_base * cols * ps..(f_base + nf) * cols * ps],
-            bias,
-            mults,
-            out_zp,
-            floor,
-            cols,
-            frame_out,
-            out_channels,
-        };
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2 {
-            // SAFETY: AVX2 support was verified above; the body is safe
-            // Rust, the attribute only widens the ISA it compiles to.
-            unsafe { conv_chunk_batched_avx2(&args, chunk) };
-            return;
-        }
-        conv_chunk_batched(&args, chunk);
-    });
+    }
 }
 
-/// Per-chunk invariants of [`qconv_panels_batch_into`].
-struct BatchChunkArgs<'a> {
+/// Where one pool chunk of a conv output sits. A chunk is either one
+/// frame's range of whole [`MR`]-row channel panels (`frame_out ==
+/// chunk.len()`) or several whole frames (`c_base == 0`, `live_ch ==
+/// out_channels`); the chunk bodies handle both through the same index
+/// math.
+#[derive(Debug, Clone, Copy)]
+struct ConvChunk {
+    /// First frame of the chunk.
+    frame: usize,
+    /// Output elements per frame within the chunk.
+    frame_out: usize,
+    /// First output channel of the chunk (panel-aligned).
+    c_base: usize,
+    /// Channels the chunk covers.
+    live_ch: usize,
+}
+
+/// Runs `body` over the pool chunks of a `frames × out_channels × cols`
+/// NCHW conv output: a single frame splits over whole channel panels
+/// (channel parallelism), several frames over whole frames. Chunk
+/// boundaries depend only on the shape, so results never depend on the
+/// pool width.
+fn for_each_conv_chunk(
+    pool: Pool,
+    out: &mut [i8],
+    frames: usize,
+    out_channels: usize,
+    body: impl Fn(ConvChunk, &mut [i8]) + Sync,
+) {
+    let frame_out = out.len() / frames;
+    if frames == 1 {
+        let cols = frame_out / out_channels;
+        let chunk_len = pool.chunk_len_for(out_channels.div_ceil(MR), MR * cols);
+        let panels_per_chunk = chunk_len / (MR * cols);
+        pool.for_each_chunk(out, chunk_len, |idx, chunk| {
+            let at = ConvChunk {
+                frame: 0,
+                frame_out: chunk.len(),
+                c_base: idx * panels_per_chunk * MR,
+                live_ch: chunk.len() / cols,
+            };
+            body(at, chunk);
+        });
+    } else {
+        let chunk_len = pool.chunk_len_for(frames, frame_out);
+        let frames_per_chunk = chunk_len / frame_out;
+        pool.for_each_chunk(out, chunk_len, |idx, chunk| {
+            let at = ConvChunk {
+                frame: idx * frames_per_chunk,
+                frame_out,
+                c_base: 0,
+                live_ch: out_channels,
+            };
+            body(at, chunk);
+        });
+    }
+}
+
+/// Per-chunk invariants of [`qconv_panels_into`], bundled so the chunk
+/// body can be compiled once per instruction set.
+struct ChunkArgs<'a> {
     packed: &'a [i16],
     ps: usize,
     /// This chunk's frames' columns only.
@@ -305,111 +288,13 @@ struct BatchChunkArgs<'a> {
     floor: i8,
     /// Output pixels per frame.
     cols: usize,
-    /// Output elements per frame (`out_channels * cols`).
-    frame_out: usize,
-    out_channels: usize,
+    at: ConvChunk,
 }
 
-/// The batched chunk body: every weight panel sweeps the chunk's
-/// `frames * cols` concatenated columns block by block; only the output
-/// index de-interleaves back to per-frame NCHW planes. An [`NR`] tile may
-/// straddle a frame boundary — harmless, because the lowered columns are
-/// globally contiguous and each output element is an independent dot.
-#[inline(always)]
-fn conv_chunk_batched(a: &BatchChunkArgs<'_>, chunk: &mut [i8]) {
-    let &BatchChunkArgs {
-        packed,
-        ps,
-        lowered,
-        bias,
-        mults,
-        out_zp,
-        floor,
-        cols,
-        frame_out,
-        out_channels,
-    } = a;
-    let n_cols = chunk.len() / frame_out * cols;
-    for px0 in (0..n_cols).step_by(PIXEL_BLOCK) {
-        let px1 = (px0 + PIXEL_BLOCK).min(n_cols);
-        for lp in (0..out_channels).step_by(MR) {
-            let wbase = lp * ps;
-            let w = [
-                &packed[wbase..wbase + ps],
-                &packed[wbase + ps..wbase + 2 * ps],
-                &packed[wbase + 2 * ps..wbase + 3 * ps],
-                &packed[wbase + 3 * ps..wbase + 4 * ps],
-            ];
-            let live = MR.min(out_channels - lp);
-            let mut pb = [0i32; MR];
-            let mut pmul = [0i32; MR];
-            let mut psh = [0u32; MR];
-            for m in 0..live {
-                pb[m] = bias[lp + m];
-                pmul[m] = mults[lp + m].multiplier;
-                psh[m] = mults[lp + m].shift as u32;
-            }
-            let mut col = px0;
-            while col + NR <= px1 {
-                let xp = &lowered[col * ps..col * ps + ps];
-                let xq = &lowered[(col + 1) * ps..(col + 1) * ps + ps];
-                let acc = dot_tile_4x2(w, xp, xq);
-                let f0 = col / cols;
-                let base0 = f0 * frame_out + lp * cols + (col - f0 * cols);
-                let f1 = (col + 1) / cols;
-                let base1 = f1 * frame_out + lp * cols + (col + 1 - f1 * cols);
-                for m in 0..live {
-                    chunk[base0 + m * cols] =
-                        requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
-                    chunk[base1 + m * cols] =
-                        requant_clamp(acc[MR + m] + pb[m], pmul[m], psh[m], out_zp, floor);
-                }
-                col += NR;
-            }
-            if col < px1 {
-                let xp = &lowered[col * ps..col * ps + ps];
-                let acc = dot_tile_4x1(w, xp);
-                let f0 = col / cols;
-                let base0 = f0 * frame_out + lp * cols + (col - f0 * cols);
-                for m in 0..live {
-                    chunk[base0 + m * cols] =
-                        requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
-                }
-            }
-        }
-    }
-}
-
-/// [`conv_chunk_batched`] recompiled with AVX2 enabled; bit-exact with the
-/// portable path for the same reason as [`conv_chunk_avx2`].
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support (the body itself is safe
-/// Rust; the attribute only changes code generation).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn conv_chunk_batched_avx2(a: &BatchChunkArgs<'_>, chunk: &mut [i8]) {
-    conv_chunk_batched(a, chunk);
-}
-
-/// Per-chunk invariants of [`qconv_panels_into`], bundled so the chunk
-/// body can be compiled once per instruction set.
-struct ChunkArgs<'a> {
-    packed: &'a [i16],
-    ps: usize,
-    lowered: &'a [i16],
-    bias: &'a [i32],
-    mults: &'a [FixedMultiplier],
-    out_zp: i32,
-    floor: i8,
-    cols: usize,
-    c_base: usize,
-}
-
-/// The chunk body: all panels of one chunk over all pixel blocks. Marked
-/// `inline(always)` so the `target_feature` wrapper below recompiles the
-/// whole loop nest (tiles included) with the wider vector ISA.
+/// The chunk body: all panels of one chunk over all pixel blocks of its
+/// frames' concatenated columns. Marked `inline(always)` so the
+/// `target_feature` wrapper below recompiles the whole loop nest (tiles
+/// included) with the wider vector ISA.
 #[inline(always)]
 fn conv_chunk(a: &ChunkArgs<'_>, chunk: &mut [i8]) {
     let &ChunkArgs {
@@ -421,11 +306,17 @@ fn conv_chunk(a: &ChunkArgs<'_>, chunk: &mut [i8]) {
         out_zp,
         floor,
         cols,
-        c_base,
+        at,
     } = a;
-    let live_ch = chunk.len() / cols;
-    for px0 in (0..cols).step_by(PIXEL_BLOCK) {
-        let px1 = (px0 + PIXEL_BLOCK).min(cols);
+    let ConvChunk {
+        frame_out,
+        c_base,
+        live_ch,
+        ..
+    } = at;
+    let n_cols = chunk.len() / frame_out * cols;
+    for px0 in (0..n_cols).step_by(PIXEL_BLOCK) {
+        let px1 = (px0 + PIXEL_BLOCK).min(n_cols);
         for lp in (0..live_ch).step_by(MR) {
             let wbase = (c_base + lp) * ps;
             // The packed matrix is padded to whole panels, so all four
@@ -442,29 +333,39 @@ fn conv_chunk(a: &ChunkArgs<'_>, chunk: &mut [i8]) {
             let mut pmul = [0i32; MR];
             let mut psh = [0u32; MR];
             for m in 0..live {
-                pb[m] = bias[c_base + lp + m];
-                pmul[m] = mults[c_base + lp + m].multiplier;
-                psh[m] = mults[c_base + lp + m].shift as u32;
+                let ch = c_base + lp + m;
+                pb[m] = bias[ch];
+                pmul[m] = mults[ch].multiplier;
+                psh[m] = mults[ch].shift as u32;
             }
+            // Tiles never straddle a frame: the block is walked one
+            // frame segment at a time, within which global column `col`
+            // stores to `base + (lp + m) * cols + col`.
             let mut col = px0;
-            while col + NR <= px1 {
-                let xp = &lowered[col * ps..col * ps + ps];
-                let xq = &lowered[(col + 1) * ps..(col + 1) * ps + ps];
-                let acc = dot_tile_4x2(w, xp, xq);
-                for m in 0..live {
-                    let row = (lp + m) * cols + col;
-                    chunk[row] = requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
-                    chunk[row + 1] =
-                        requant_clamp(acc[MR + m] + pb[m], pmul[m], psh[m], out_zp, floor);
+            while col < px1 {
+                let f = col / cols;
+                let seg_end = ((f + 1) * cols).min(px1);
+                let base = f * (frame_out - cols);
+                while col + NR <= seg_end {
+                    let xp = &lowered[col * ps..col * ps + ps];
+                    let xq = &lowered[(col + 1) * ps..(col + 1) * ps + ps];
+                    let acc = dot_tile_4x2(w, xp, xq);
+                    for m in 0..live {
+                        let row = base + (lp + m) * cols + col;
+                        chunk[row] = requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
+                        chunk[row + 1] =
+                            requant_clamp(acc[MR + m] + pb[m], pmul[m], psh[m], out_zp, floor);
+                    }
+                    col += NR;
                 }
-                col += NR;
-            }
-            if col < px1 {
-                let xp = &lowered[col * ps..col * ps + ps];
-                let acc = dot_tile_4x1(w, xp);
-                for m in 0..live {
-                    chunk[(lp + m) * cols + col] =
-                        requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
+                if col < seg_end {
+                    let xp = &lowered[col * ps..col * ps + ps];
+                    let acc = dot_tile_4x1(w, xp);
+                    for m in 0..live {
+                        chunk[base + (lp + m) * cols + col] =
+                            requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
+                    }
+                    col += 1;
                 }
             }
         }
@@ -525,19 +426,15 @@ unsafe fn xgetbv0() -> u64 {
 /// Which microkernel family programs compile their conv weights for and
 /// which code path executes them. The *format* half (i16 vs raw i8) is
 /// baked in at [`crate::QuantizedProgram`] compile time; the *SIMD* half
-/// is re-checked at run time, so an `avx2-*` selection on a host without
-/// AVX2 silently runs the matching scalar body — every combination is
-/// bit-exact with every other, only speed differs.
+/// is re-checked at run time, so `avx2-i8` on a host without AVX2 runs
+/// the portable i8 body. Both are bit-exact with each other; only speed
+/// differs. The two other pairings (i8 without AVX2, i16 under AVX2)
+/// measured slower than these on every seed, so they are not offered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelIsa {
     /// i16-widened weight panels, autovectorized 4×2 tiles. The portable
     /// baseline and the reference everything else is pinned against.
     ScalarI16,
-    /// Raw-i8 panels + offset-binary u8 im2row, scalar 4×16 tiles — the
-    /// i8 arithmetic exercised on any host.
-    ScalarI8,
-    /// The i16 path recompiled under AVX2 (the pre-i8 default).
-    Avx2I16,
     /// Raw-i8 panels with the hand-written AVX2 4×16 kernel. The default
     /// on AVX2 hosts: half the packed/lowered bytes, double the lanes.
     Avx2I8,
@@ -547,21 +444,13 @@ impl KernelIsa {
     /// True when programs compiled for this ISA pack raw-i8 weight panels
     /// and lower activations to offset-binary u8 (vs i16 widening).
     pub fn packs_i8(self) -> bool {
-        matches!(self, KernelIsa::ScalarI8 | KernelIsa::Avx2I8)
-    }
-
-    /// True when this ISA asks for the AVX2 kernel bodies (granted only
-    /// if the host actually has AVX2; see [`simd_enabled`]).
-    pub fn wants_simd(self) -> bool {
-        matches!(self, KernelIsa::Avx2I16 | KernelIsa::Avx2I8)
+        self == KernelIsa::Avx2I8
     }
 
     /// The env-var spelling accepted by [`parse_np_isa`].
     pub fn as_str(self) -> &'static str {
         match self {
             KernelIsa::ScalarI16 => "scalar",
-            KernelIsa::ScalarI8 => "scalar-i8",
-            KernelIsa::Avx2I16 => "avx2-i16",
             KernelIsa::Avx2I8 => "avx2-i8",
         }
     }
@@ -574,8 +463,6 @@ pub fn parse_np_isa(raw: Option<&str>) -> Result<Option<KernelIsa>, String> {
     let Some(s) = raw else { return Ok(None) };
     match s.trim() {
         "scalar" | "scalar-i16" => Ok(Some(KernelIsa::ScalarI16)),
-        "scalar-i8" => Ok(Some(KernelIsa::ScalarI8)),
-        "avx2-i16" => Ok(Some(KernelIsa::Avx2I16)),
         "avx2-i8" => Ok(Some(KernelIsa::Avx2I8)),
         other => Err(other.to_string()),
     }
@@ -593,8 +480,8 @@ fn default_isa() -> KernelIsa {
     KernelIsa::ScalarI16
 }
 
-/// The process-wide kernel ISA: `NP_ISA` when set to
-/// `scalar|scalar-i8|avx2-i16|avx2-i8`, otherwise [`default_isa`].
+/// The process-wide kernel ISA: `NP_ISA` when set to `scalar|avx2-i8`,
+/// otherwise [`default_isa`].
 /// Cached; a misparse warns once through the np-trace facade and falls
 /// back to the default, like `NP_THREADS`.
 pub fn kernel_isa() -> KernelIsa {
@@ -608,8 +495,7 @@ pub fn kernel_isa() -> KernelIsa {
             Err(bad) => {
                 let isa = default_isa();
                 np_trace::warn!(
-                    "ignoring NP_ISA={bad:?}: expected scalar|scalar-i8|avx2-i16|avx2-i8, \
-                     using {}",
+                    "ignoring NP_ISA={bad:?}: expected scalar|avx2-i8, using {}",
                     isa.as_str()
                 );
                 isa
@@ -619,13 +505,13 @@ pub fn kernel_isa() -> KernelIsa {
 }
 
 /// Whether executing kernels may take their AVX2 bodies: the selected ISA
-/// asks for SIMD *and* the host grants it. `NP_ISA=scalar[-i8]` therefore
+/// asks for SIMD *and* the host grants it. `NP_ISA=scalar` therefore
 /// forces the portable bodies even on AVX2 hosts — that is what makes the
 /// dispatch fallback testable everywhere.
 pub(crate) fn simd_enabled() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        kernel_isa().wants_simd() && avx2_available()
+        kernel_isa() == KernelIsa::Avx2I8 && avx2_available()
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -692,22 +578,26 @@ pub fn fold_offset_bias(
 // The raw-i8 kernel
 // ---------------------------------------------------------------------------
 
-/// Lowered raw-int8 convolution over [`pack_conv_panels_i8`] panels and a
-/// [`crate::lowering::qim2row_u8_into`] buffer:
-/// `out[c][col] = requant(folded_bias[c] + Σ_r panels[c][r] · u[r][col])`
-/// with the fused ReLU clamp — bit-identical to [`qconv_panels_into`] on
-/// the i16 encoding of the same activations (see [`fold_offset_bias`]).
+/// Lowered raw-int8 convolution of `frames` frames over
+/// [`pack_conv_panels_i8`] panels and a [`crate::lowering::qim2row_u8_into`]
+/// buffer: `out[f][c][col] = requant(folded_bias[c] + Σ_r panels[c][r] ·
+/// u[f][r][col])` with the fused ReLU clamp — bit-identical to
+/// [`qconv_panels_into`] on the i16 encoding of the same activations (see
+/// [`fold_offset_bias`]).
 ///
 /// Tiles are [`MR`] filter rows × [`NR_I8`] columns: under AVX2 each
 /// k-pair is one 32-byte load of 16 interleaved column pairs, widened in
 /// register and reduced with `pmaddwd` into 8 i32 accumulator vectors,
-/// with a fully vectorized requantize epilogue. Work is chunked over
-/// whole panels ([`Pool::chunk_len_for`]), so results are bit-exact at
-/// any pool width.
+/// with a fully vectorized requantize epilogue. The frames are lowered
+/// per-frame blocked and the output is NCHW. Each weight panel is
+/// streamed once per [`PIXEL_BLOCK`]-column group of the *whole batch*,
+/// and the 16-column blocks give the skinny GEMV-shaped layers real
+/// column parallelism. Chunking follows [`for_each_conv_chunk`], so
+/// results are bit-exact at any pool width and any `frames`.
 ///
 /// # Panics
 ///
-/// Panics on size mismatches.
+/// Panics on size mismatches or `frames == 0`.
 #[allow(clippy::too_many_arguments)]
 pub fn qconv_panels_i8_into(
     pool: Pool,
@@ -718,9 +608,10 @@ pub fn qconv_panels_i8_into(
     mults: &[FixedMultiplier],
     out_zp: i32,
     relu: bool,
+    frames: usize,
     out: &mut [i8],
 ) {
-    qconv_panels_i8_frames_into(
+    qconv_panels_i8_impl(
         pool,
         panels,
         patch,
@@ -729,60 +620,17 @@ pub fn qconv_panels_i8_into(
         mults,
         out_zp,
         relu,
-        1,
+        frames,
         out,
         simd_enabled(),
     );
 }
 
-/// Batched [`qconv_panels_i8_into`]: `batch` frames lowered per-frame
-/// blocked ([`crate::lowering::qim2row_u8_batch_into`]), output NCHW.
-/// Each weight panel is streamed once per [`PIXEL_BLOCK`]-column group of
-/// the *whole batch* — and unlike the i16 path's 2-column tiles, the
-/// 16-column blocks here give the skinny GEMV-shaped layers real column
-/// parallelism, which is where the batch slope finally comes from. Work
-/// is chunked over whole frames; bit-exact vs per-frame runs at any pool
-/// width.
-///
-/// # Panics
-///
-/// Panics on size mismatches or `batch == 0`.
+/// [`qconv_panels_i8_into`] with the body chosen by `use_simd`, so tests
+/// can pin the scalar and AVX2 bodies against each other in one process
+/// regardless of `NP_ISA`.
 #[allow(clippy::too_many_arguments)]
-pub fn qconv_panels_i8_batch_into(
-    pool: Pool,
-    panels: &[i8],
-    patch: usize,
-    lowered: &[u8],
-    folded_bias: &[i32],
-    mults: &[FixedMultiplier],
-    out_zp: i32,
-    relu: bool,
-    batch: usize,
-    out: &mut [i8],
-) {
-    assert!(batch > 0, "batch must be at least 1");
-    qconv_panels_i8_frames_into(
-        pool,
-        panels,
-        patch,
-        lowered,
-        folded_bias,
-        mults,
-        out_zp,
-        relu,
-        batch,
-        out,
-        simd_enabled(),
-    );
-}
-
-/// Shared implementation: `frames == 1` chunks over panels (channel
-/// parallelism), `frames > 1` over whole frames — mirroring the i16 pair
-/// of entry points. `use_simd` is explicit so tests can pin the scalar
-/// and AVX2 bodies against each other in one process regardless of
-/// `NP_ISA`; callers outside tests pass [`simd_enabled`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn qconv_panels_i8_frames_into(
+pub(crate) fn qconv_panels_i8_impl(
     pool: Pool,
     panels: &[i8],
     patch: usize,
@@ -814,64 +662,26 @@ pub(crate) fn qconv_panels_i8_frames_into(
         "packed weight size"
     );
     assert_eq!(mults.len(), out_channels, "multiplier count");
-    let floor = if relu {
-        out_zp.clamp(-128, 127) as i8
-    } else {
-        i8::MIN
-    };
-
-    if frames == 1 {
-        let n_panels = out_channels.div_ceil(MR);
-        let chunk_len = pool.chunk_len_for(n_panels, MR * cols);
-        let panels_per_chunk = chunk_len / (MR * cols);
-        pool.for_each_chunk(out, chunk_len, |idx, chunk| {
-            // First output channel of this chunk; always panel-aligned.
-            let c_base = idx * panels_per_chunk * MR;
-            let a = I8ChunkArgs {
-                panels,
-                ps,
-                lowered,
-                folded_bias,
-                mults,
-                out_zp,
-                floor,
-                cols,
-                nblk,
-                frame_out: chunk.len(),
-                c_base,
-                live_ch: chunk.len() / cols,
-            };
-            dispatch_i8(&a, chunk, use_simd);
-        });
-    } else {
-        let chunk_len = pool.chunk_len_for(frames, frame_out);
-        let frames_per_chunk = chunk_len / frame_out;
-        pool.for_each_chunk(out, chunk_len, |idx, chunk| {
-            let f_base = idx * frames_per_chunk;
-            let nf = chunk.len() / frame_out;
-            let a = I8ChunkArgs {
-                panels,
-                ps,
-                lowered: &lowered[f_base * fstride..(f_base + nf) * fstride],
-                folded_bias,
-                mults,
-                out_zp,
-                floor,
-                cols,
-                nblk,
-                frame_out,
-                c_base: 0,
-                live_ch: out_channels,
-            };
-            dispatch_i8(&a, chunk, use_simd);
-        });
-    }
+    let floor = relu_floor(relu, out_zp);
+    for_each_conv_chunk(pool, out, frames, out_channels, |at, chunk| {
+        let nf = chunk.len() / at.frame_out;
+        let a = I8ChunkArgs {
+            panels,
+            ps,
+            lowered: &lowered[at.frame * fstride..(at.frame + nf) * fstride],
+            folded_bias,
+            mults,
+            out_zp,
+            floor,
+            cols,
+            nblk,
+            at,
+        };
+        dispatch_i8(&a, chunk, use_simd);
+    });
 }
 
-/// Per-chunk invariants of the i8 kernel. A chunk is either one frame's
-/// panel range (`c_base`/`live_ch` select the channels, `frame_out ==
-/// chunk.len()`) or several whole frames (`c_base == 0`, `live_ch ==
-/// out_channels`); the bodies handle both through the same index math.
+/// Per-chunk invariants of the i8 kernel.
 struct I8ChunkArgs<'a> {
     panels: &'a [i8],
     ps: usize,
@@ -885,12 +695,7 @@ struct I8ChunkArgs<'a> {
     cols: usize,
     /// Column blocks per frame.
     nblk: usize,
-    /// Output elements per frame within this chunk.
-    frame_out: usize,
-    /// First output channel of the chunk (panel-aligned).
-    c_base: usize,
-    /// Channels this chunk covers.
-    live_ch: usize,
+    at: ConvChunk,
 }
 
 #[inline(always)]
@@ -952,10 +757,14 @@ fn i8_chunk_scalar(a: &I8ChunkArgs<'_>, chunk: &mut [i8]) {
         floor,
         cols,
         nblk,
+        at,
+    } = a;
+    let ConvChunk {
         frame_out,
         c_base,
         live_ch,
-    } = a;
+        ..
+    } = at;
     let total_blocks = chunk.len() / frame_out * nblk;
     let group = PIXEL_BLOCK / NR_I8;
     for g0 in (0..total_blocks).step_by(group) {
@@ -1017,10 +826,14 @@ unsafe fn i8_chunk_avx2(a: &I8ChunkArgs<'_>, chunk: &mut [i8]) {
         floor,
         cols,
         nblk,
+        at,
+    } = a;
+    let ConvChunk {
         frame_out,
         c_base,
         live_ch,
-    } = a;
+        ..
+    } = at;
     let total_blocks = chunk.len() / frame_out * nblk;
     let group = PIXEL_BLOCK / NR_I8;
     let floor_v = _mm_set1_epi8(floor);
@@ -1276,6 +1089,7 @@ mod tests {
                     &mults,
                     -5,
                     true,
+                    1,
                     &mut got,
                 );
                 assert_eq!(
@@ -1327,12 +1141,13 @@ mod tests {
                     &mults,
                     3,
                     true,
+                    1,
                     &mut want[b * out_channels * cols..(b + 1) * out_channels * cols],
                 );
             }
             for threads in [1usize, 2, 3, 8] {
                 let mut got = vec![0i8; batch * out_channels * cols];
-                qconv_panels_batch_into(
+                qconv_panels_into(
                     Pool::new(threads),
                     &packed,
                     patch,
@@ -1382,20 +1197,12 @@ mod tests {
             parse_np_isa(Some(" scalar-i16 ")),
             Ok(Some(KernelIsa::ScalarI16))
         );
-        assert_eq!(
-            parse_np_isa(Some("scalar-i8")),
-            Ok(Some(KernelIsa::ScalarI8))
-        );
-        assert_eq!(parse_np_isa(Some("avx2-i16")), Ok(Some(KernelIsa::Avx2I16)));
         assert_eq!(parse_np_isa(Some("avx2-i8")), Ok(Some(KernelIsa::Avx2I8)));
-        assert_eq!(parse_np_isa(Some("sse9")), Err("sse9".to_string()));
-        assert_eq!(parse_np_isa(Some("")), Err("".to_string()));
-        for isa in [
-            KernelIsa::ScalarI16,
-            KernelIsa::ScalarI8,
-            KernelIsa::Avx2I16,
-            KernelIsa::Avx2I8,
-        ] {
+        // Retired pairings fall back to the default like any misspelling.
+        for bad in ["scalar-i8", "avx2-i16", "sse9", ""] {
+            assert_eq!(parse_np_isa(Some(bad)), Err(bad.to_string()));
+        }
+        for isa in [KernelIsa::ScalarI16, KernelIsa::Avx2I8] {
             assert_eq!(parse_np_isa(Some(isa.as_str())), Ok(Some(isa)));
             assert_eq!(isa.packs_i8(), isa.as_str().ends_with("i8"));
         }
@@ -1485,7 +1292,7 @@ mod tests {
                 for use_simd in simd_modes {
                     for threads in [1usize, 2, 3, 8] {
                         let mut got = vec![0i8; out_channels * cols];
-                        qconv_panels_i8_frames_into(
+                        qconv_panels_i8_impl(
                             Pool::new(threads),
                             &panels,
                             patch,
@@ -1565,7 +1372,7 @@ mod tests {
                     }
                     for use_simd in simd_modes {
                         let mut got = vec![0i8; out_channels * cols];
-                        qconv_panels_i8_frames_into(
+                        qconv_panels_i8_impl(
                             Pool::serial(),
                             &panels,
                             patch,
@@ -1626,7 +1433,7 @@ mod tests {
                 // Reference: the single-frame i8 kernel, frame by frame.
                 let mut want = vec![0i8; batch * out_channels * cols];
                 for b in 0..batch {
-                    qconv_panels_i8_frames_into(
+                    qconv_panels_i8_impl(
                         Pool::serial(),
                         &panels,
                         patch,
@@ -1642,7 +1449,7 @@ mod tests {
                 }
                 for threads in [1usize, 2, 3, 8] {
                     let mut got = vec![0i8; batch * out_channels * cols];
-                    qconv_panels_i8_frames_into(
+                    qconv_panels_i8_impl(
                         Pool::new(threads),
                         &panels,
                         patch,

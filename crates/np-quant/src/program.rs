@@ -31,21 +31,22 @@
 //! test) and produces outputs bit-identical to `run_int` — integer
 //! arithmetic makes the restructured loops exact, not approximately equal.
 //!
+//! Every entry point runs one executor over a static plan. A single frame
+//! is a batch of one on the per-frame plan; a batch-compiled program adds
+//! a second plan at `max_batch ×` the bytes for multi-frame passes.
+//!
 //! [`MR`]: crate::microkernel::MR
 
 use crate::kernels::{qdw_plane, QConvGeometry};
-use crate::lowering::{
-    patch_stride, qim2row_batch_into, qim2row_into, qim2row_u8_batch_into, qim2row_u8_into,
-    u8_lowered_len,
-};
+use crate::lowering::{patch_stride, qim2row_into, qim2row_u8_into, u8_lowered_len};
 use crate::microkernel::{
-    fold_offset_bias, kernel_isa, pack_conv_panels, pack_conv_panels_i8, qconv_panels_batch_into,
-    qconv_panels_i8_batch_into, qconv_panels_i8_into, qconv_panels_into, KernelIsa,
+    fold_offset_bias, kernel_isa, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_into,
+    qconv_panels_into, KernelIsa,
 };
 use crate::qnetwork::{QLayer, QuantizedNetwork};
 use crate::qparams::{fold_zero_point, QuantParams};
 use crate::requant::{requantize_to_i8, FixedMultiplier};
-use np_tensor::arena::{disjoint_pair, plan_arena, plan_arena_batched, BufferReq};
+use np_tensor::arena::{disjoint_pair, plan_arena_batched, BufferReq};
 use np_tensor::parallel::Pool;
 
 /// Compile-time weight format of a conv step, chosen by the program's
@@ -283,35 +284,22 @@ impl QScratch {
 
     /// Grows the buffers to `program`'s requirements (never shrinks). A
     /// batch-compiled program reserves its scaled batch plan too, so one
-    /// scratch serves both the per-frame and the batched entry points.
+    /// scratch serves every batch size up to `max_batch`.
     pub fn reserve(&mut self, program: &QuantizedProgram) {
-        let (arena_len, lowered_len, lowered_u8_len, out_frames) = match &program.batch_plan {
-            Some(bp) => (
-                program.arena_len.max(bp.arena_len),
-                program.lowered_len.max(bp.lowered_len),
-                program.lowered_u8_len.max(bp.lowered_u8_len),
-                bp.max_batch,
-            ),
-            None => (
-                program.arena_len,
-                program.lowered_len,
-                program.lowered_u8_len,
-                1,
-            ),
-        };
-        if self.arena.len() < arena_len {
-            self.arena.resize(arena_len, 0);
+        fn grow<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+            if buf.len() < len {
+                buf.resize(len, T::default());
+            }
         }
-        if self.lowered.len() < lowered_len {
-            self.lowered.resize(lowered_len, 0);
+        for plan in std::iter::once(&program.unit).chain(&program.batch) {
+            grow(&mut self.arena, plan.arena_len);
+            grow(&mut self.lowered, plan.lowered_len);
+            grow(&mut self.lowered_u8, plan.lowered_u8_len);
         }
-        if self.lowered_u8.len() < lowered_u8_len {
-            self.lowered_u8.resize(lowered_u8_len, 0);
-        }
-        let out_len = out_frames * program.buf_sizes[program.output_buf];
-        if self.out_f32.len() < out_len {
-            self.out_f32.resize(out_len, 0.0);
-        }
+        grow(
+            &mut self.out_f32,
+            program.max_batch() * program.output_len(),
+        );
     }
 
     /// Total bytes currently held by the scratch buffers (activation
@@ -322,28 +310,70 @@ impl QScratch {
     }
 }
 
-/// The cross-frame half of a batched compile: the same live ranges as the
-/// per-frame plan with every buffer scaled to `max_batch ×` its size, so
-/// up to `max_batch` frames flow through the step list in one pass.
-/// Within a buffer's region, frame `b` owns the contiguous slice
-/// `[offset + b*size, offset + (b+1)*size)` — plain NCHW concatenation,
-/// so per-frame outputs come back as contiguous slices of the batched
-/// output plane.
+/// A static execution plan for passes of up to `max_batch` frames: arena
+/// offsets of every buffer, the arena and im2row buffer sizes, and the
+/// spans a pass records into. The unit plan (`max_batch == 1`) is the
+/// per-frame layout; a batch plan is the same live-range packing at
+/// `max_batch ×` the bytes (see [`plan_arena_batched`]). Within a
+/// buffer's region, frame `b` owns the contiguous slice `[offset +
+/// b*size, offset + (b+1)*size)` — plain NCHW concatenation, so per-frame
+/// outputs come back as contiguous slices of the batched output plane,
+/// and a pass of fewer frames uses a prefix of every region.
 #[derive(Debug, Clone)]
-struct BatchPlan {
-    /// Largest batch a single `run_int_batched` call may carry.
+struct Plan {
     max_batch: usize,
-    /// Arena offsets of each buffer's `max_batch × size` region.
+    /// Arena offset of each buffer's `max_batch × size` region.
     buf_offsets: Vec<usize>,
     arena_len: usize,
     lowered_len: usize,
+    /// Size of the offset-binary u8 im2row buffer (i8-format convs);
+    /// zero when every conv packed i16, so the unused format costs no
+    /// scratch bytes.
     lowered_u8_len: usize,
-    /// One span per step for batched passes, named `{name}@batch/..` so
-    /// per-frame drift reports never mix the two populations.
+    /// One np-trace span per step, registered at compile time so the
+    /// executor's hot path never touches the span registry. The unit
+    /// plan's are `{name}/NN-kind`; a batch plan's live under
+    /// `{name}@batch/` so the per-frame drift report's step-to-layer
+    /// alignment never sees batched samples. All-INACTIVE when the
+    /// `trace` feature is off.
     step_spans: Vec<np_trace::SpanId>,
-    /// Span covering one whole batched pass; the batch size is recorded
-    /// in its bytes field.
+    /// Span covering one whole pass: `{name}/frame` with zero bytes, or
+    /// `{name}@batch/run` with the batch size in its bytes field (`bytes
+    /// / count` in a trace report is the mean B per batched pass).
     run_span: np_trace::SpanId,
+}
+
+impl Plan {
+    /// Plans `reqs` for `max_batch` frames per pass and registers the
+    /// plan's spans.
+    fn new(
+        name: &str,
+        steps: &[Step],
+        reqs: &[BufferReq],
+        max_batch: usize,
+        lowered_len: usize,
+        lowered_u8_len: usize,
+    ) -> Plan {
+        let arena = plan_arena_batched(reqs, max_batch);
+        let (prefix, run) = if max_batch == 1 {
+            (name.to_string(), "frame")
+        } else {
+            (format!("{name}@batch"), "run")
+        };
+        Plan {
+            max_batch,
+            buf_offsets: arena.offsets,
+            arena_len: arena.arena_bytes,
+            lowered_len: lowered_len * max_batch,
+            lowered_u8_len: lowered_u8_len * max_batch,
+            step_spans: steps
+                .iter()
+                .enumerate()
+                .map(|(i, s)| np_trace::register_span(&format!("{prefix}/{i:02}-{}", s.kind())))
+                .collect(),
+            run_span: np_trace::register_span(&format!("{prefix}/{run}")),
+        }
+    }
 }
 
 /// A [`QuantizedNetwork`] compiled for one input shape: static arena
@@ -357,28 +387,20 @@ pub struct QuantizedProgram {
     input_chw: (usize, usize, usize),
     output_chw: (usize, usize, usize),
     steps: Vec<Step>,
-    buf_offsets: Vec<usize>,
+    /// Per-frame size of every buffer.
     buf_sizes: Vec<usize>,
-    arena_len: usize,
-    lowered_len: usize,
-    /// Size of the offset-binary u8 im2row buffer (i8-format convs);
-    /// zero when every conv packed i16, so the unused format costs no
-    /// scratch bytes.
-    lowered_u8_len: usize,
     output_buf: usize,
-    /// One np-trace span per step, registered at compile time so the
-    /// executor's hot path never touches the span registry. All-INACTIVE
-    /// when the `trace` feature is off.
-    step_spans: Vec<np_trace::SpanId>,
-    /// Arena bytes each step reads + writes, precomputed for telemetry.
+    /// Arena bytes each step reads + writes per frame, precomputed for
+    /// telemetry.
     step_bytes: Vec<u64>,
-    /// Span covering one whole `exec_steps` pass.
-    frame_span: np_trace::SpanId,
     /// The kernel isa the program's weights were packed for.
     isa: KernelIsa,
-    /// Present iff compiled with [`Self::compile_batched`]: the scaled
-    /// arena plan for cross-frame batched passes.
-    batch_plan: Option<BatchPlan>,
+    /// The per-frame plan every single-frame pass runs on.
+    unit: Plan,
+    /// Present iff compiled with [`Self::compile_batched`] and
+    /// `max_batch > 1`: the scaled plan for passes of 2..=`max_batch`
+    /// frames.
+    batch: Option<Plan>,
 }
 
 impl QuantizedProgram {
@@ -622,42 +644,18 @@ impl QuantizedProgram {
             .zip(bufs.first.iter().zip(bufs.last.iter()))
             .map(|(&bytes, (&f, &l))| BufferReq::new(bytes, f, l))
             .collect();
-        let plan = plan_arena(&reqs);
-
-        let step_spans = steps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| np_trace::register_span(&format!("{}/{i:02}-{}", net.name(), s.kind())))
-            .collect();
-        let step_bytes = steps.iter().map(|s| s.io_bytes(&bufs.sizes)).collect();
-        let frame_span = np_trace::register_span(&format!("{}/frame", net.name()));
-
-        // The batched plan is the same live-range packing at B × the
-        // bytes (see `plan_arena_batched`); its spans live under a
-        // `{name}@batch/` prefix so the per-frame drift report's
-        // step-to-layer alignment never sees batched samples.
-        let batch_plan = (max_batch > 1).then(|| {
-            let bplan = plan_arena_batched(&reqs, max_batch);
-            BatchPlan {
+        let unit = Plan::new(net.name(), &steps, &reqs, 1, lowered_len, lowered_u8_len);
+        let batch = (max_batch > 1).then(|| {
+            Plan::new(
+                net.name(),
+                &steps,
+                &reqs,
                 max_batch,
-                buf_offsets: bplan.offsets,
-                arena_len: bplan.arena_bytes,
-                lowered_len: lowered_len * max_batch,
-                lowered_u8_len: lowered_u8_len * max_batch,
-                step_spans: steps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        np_trace::register_span(&format!(
-                            "{}@batch/{i:02}-{}",
-                            net.name(),
-                            s.kind()
-                        ))
-                    })
-                    .collect(),
-                run_span: np_trace::register_span(&format!("{}@batch/run", net.name())),
-            }
+                lowered_len,
+                lowered_u8_len,
+            )
         });
+        let step_bytes = steps.iter().map(|s| s.io_bytes(&bufs.sizes)).collect();
 
         QuantizedProgram {
             name: net.name().to_string(),
@@ -666,17 +664,12 @@ impl QuantizedProgram {
             input_chw: chw,
             output_chw: (c, h, w),
             steps,
-            buf_offsets: plan.offsets,
             buf_sizes: bufs.sizes,
-            arena_len: plan.arena_bytes,
-            lowered_len,
-            lowered_u8_len,
             output_buf: bufs.cur,
-            step_spans,
             step_bytes,
-            frame_span,
             isa,
-            batch_plan,
+            unit,
+            batch,
         }
     }
 
@@ -714,7 +707,7 @@ impl QuantizedProgram {
     /// `np-dory`'s `activation_bytes` L2 bound (the program plan fuses
     /// ReLU in place and aliases reshapes, so it is `<=` that bound).
     pub fn arena_bytes(&self) -> usize {
-        self.arena_len
+        self.unit.arena_len
     }
 
     /// Naive per-frame allocation footprint this plan replaces: the sum of
@@ -853,7 +846,8 @@ impl QuantizedProgram {
 
     /// Runs the program on an already-quantized CHW image, writing every
     /// intermediate into `scratch`'s planned arena. Returns the output
-    /// slice (borrowed from the scratch) and its shape.
+    /// slice (borrowed from the scratch) and its shape. This is
+    /// [`Self::run_int_batched`] with a batch of one.
     ///
     /// After `scratch` is warm (first call, or [`QScratch::for_program`])
     /// this performs **zero heap allocations** when `pool` is serial; on a
@@ -870,19 +864,13 @@ impl QuantizedProgram {
         scratch: &'s mut QScratch,
         input: &[i8],
     ) -> (&'s [i8], (usize, usize, usize)) {
-        assert_eq!(input.len(), self.buf_sizes[0], "input size mismatch");
-        scratch.reserve(self);
-        let in_off = self.buf_offsets[0];
-        scratch.arena[in_off..in_off + input.len()].copy_from_slice(input);
-        self.exec_steps(pool, scratch);
-        let out_off = self.buf_offsets[self.output_buf];
-        let out_len = self.buf_sizes[self.output_buf];
-        (&scratch.arena[out_off..out_off + out_len], self.output_chw)
+        self.run_int_batched(pool, scratch, input, 1)
     }
 
     /// Float-in/float-out single-frame entry: quantizes `frame` straight
     /// into the arena, runs the integer steps, and dequantizes the output
-    /// into the scratch's f32 buffer. Same allocation guarantees as
+    /// into the scratch's f32 buffer. This is [`Self::forward_batched`]
+    /// with a batch of one; same allocation guarantees as
     /// [`Self::run_int_prepacked`].
     ///
     /// # Panics
@@ -894,35 +882,20 @@ impl QuantizedProgram {
         scratch: &'s mut QScratch,
         frame: &[f32],
     ) -> &'s [f32] {
-        assert_eq!(frame.len(), self.buf_sizes[0], "input size mismatch");
-        scratch.reserve(self);
-        let in_off = self.buf_offsets[0];
-        self.input_params
-            .quantize_into(frame, &mut scratch.arena[in_off..in_off + frame.len()]);
-        self.exec_steps(pool, scratch);
-        let out_off = self.buf_offsets[self.output_buf];
-        let out_len = self.buf_sizes[self.output_buf];
-        {
-            let QScratch { arena, out_f32, .. } = scratch;
-            self.output_params
-                .dequantize_into(&arena[out_off..out_off + out_len], &mut out_f32[..out_len]);
-        }
-        &scratch.out_f32[..out_len]
+        self.forward_batched(pool, scratch, frame, 1)
     }
 
     /// Largest batch size [`Self::run_int_batched`] accepts: the
     /// `max_batch` passed to [`Self::compile_batched`], or 1 for a plain
-    /// [`Self::compile`] (which has no batched entry).
+    /// [`Self::compile`].
     pub fn max_batch(&self) -> usize {
-        self.batch_plan.as_ref().map_or(1, |bp| bp.max_batch)
+        self.batch.as_ref().map_or(1, |p| p.max_batch)
     }
 
     /// Planned arena size of the batched path in bytes (equals
     /// [`Self::arena_bytes`] when the program was not batch-compiled).
     pub fn batched_arena_bytes(&self) -> usize {
-        self.batch_plan
-            .as_ref()
-            .map_or(self.arena_len, |bp| bp.arena_len)
+        self.batch.as_ref().unwrap_or(&self.unit).arena_len
     }
 
     /// Runs `batch` already-quantized CHW frames (concatenated NCHW in
@@ -930,22 +903,21 @@ impl QuantizedProgram {
     /// output (frame `b` owns `out[b*len..(b+1)*len]`) and the per-frame
     /// output shape.
     ///
-    /// Each conv step lowers all `batch` frames and sweeps the packed
-    /// weight panels across their concatenated columns once
-    /// ([`qconv_panels_batch_into`]), so per-panel weight traffic is paid
-    /// per batch instead of per frame; depthwise/pool steps treat the
-    /// batch as `batch × channels` independent planes; the linear step
-    /// streams each weight row across all frames. Outputs are
-    /// bit-identical to `batch` independent [`Self::run_int_prepacked`]
-    /// calls, at any pool width, and a warm scratch makes the pass
-    /// allocation-free on a serial pool — the same guarantees as the
-    /// per-frame entry.
+    /// One frame runs on the unit plan; more run on the batch plan, where
+    /// each conv step lowers all `batch` frames and sweeps the packed
+    /// weight panels across their concatenated columns once, so
+    /// per-panel weight traffic is paid per batch instead of per frame;
+    /// depthwise/pool steps treat the batch as `batch × channels`
+    /// independent planes; the linear step streams each weight row across
+    /// all frames. Outputs are bit-identical to `batch` independent
+    /// single-frame runs, at any pool width, and a warm scratch makes the
+    /// pass allocation-free on a serial pool.
     ///
     /// # Panics
     ///
-    /// Panics if the program was not [`Self::compile_batched`]-compiled
-    /// with `max_batch >= batch`, if `batch == 0`, or if `inputs` is not
-    /// exactly `batch` input frames.
+    /// Panics if `batch == 0`, if `batch > 1` and the program was not
+    /// [`Self::compile_batched`]-compiled with `max_batch >= batch`, or
+    /// if `inputs` is not exactly `batch` input frames.
     pub fn run_int_batched<'s>(
         &self,
         pool: Pool,
@@ -953,37 +925,17 @@ impl QuantizedProgram {
         inputs: &[i8],
         batch: usize,
     ) -> (&'s [i8], (usize, usize, usize)) {
-        if batch == 1 {
-            // Delegate to the per-frame plan: identical results, and the
-            // B=1 latency is exactly the single-frame path's.
-            return self.run_int_prepacked(pool, scratch, inputs);
-        }
-        let bp = self
-            .batch_plan
-            .as_ref()
-            .expect("program was not compiled with compile_batched");
-        assert!(
-            batch <= bp.max_batch,
-            "batch {batch} exceeds compiled max_batch {}",
-            bp.max_batch
-        );
-        assert_eq!(
-            inputs.len(),
-            batch * self.buf_sizes[0],
-            "input size mismatch"
-        );
-        scratch.reserve(self);
-        let in_off = bp.buf_offsets[0];
+        let plan = self.plan_for(scratch, inputs.len(), batch);
+        let in_off = plan.buf_offsets[0];
         scratch.arena[in_off..in_off + inputs.len()].copy_from_slice(inputs);
-        self.exec_steps_batched(pool, scratch, batch);
-        let out_off = bp.buf_offsets[self.output_buf];
-        let out_len = batch * self.buf_sizes[self.output_buf];
+        self.exec_steps(pool, scratch, plan, batch);
+        let (out_off, out_len) = self.buf_at(plan, self.output_buf, batch);
         (&scratch.arena[out_off..out_off + out_len], self.output_chw)
     }
 
     /// Float-in/float-out batched entry: quantizes `batch` concatenated
-    /// frames into the arena, runs the batched integer steps, and
-    /// dequantizes into the scratch's f32 buffer (frame `b` owns
+    /// frames into the arena, runs the integer steps, and dequantizes
+    /// into the scratch's f32 buffer (frame `b` owns
     /// `out[b*len..(b+1)*len]`). Same guarantees as
     /// [`Self::run_int_batched`].
     ///
@@ -997,52 +949,64 @@ impl QuantizedProgram {
         frames: &[f32],
         batch: usize,
     ) -> &'s [f32] {
-        if batch == 1 {
-            return self.forward_prepacked(pool, scratch, frames);
-        }
-        let bp = self
-            .batch_plan
-            .as_ref()
-            .expect("program was not compiled with compile_batched");
-        assert!(
-            batch <= bp.max_batch,
-            "batch {batch} exceeds compiled max_batch {}",
-            bp.max_batch
-        );
-        assert_eq!(
-            frames.len(),
-            batch * self.buf_sizes[0],
-            "input size mismatch"
-        );
-        scratch.reserve(self);
-        let in_off = bp.buf_offsets[0];
+        let plan = self.plan_for(scratch, frames.len(), batch);
+        let in_off = plan.buf_offsets[0];
         self.input_params
             .quantize_into(frames, &mut scratch.arena[in_off..in_off + frames.len()]);
-        self.exec_steps_batched(pool, scratch, batch);
-        let out_off = bp.buf_offsets[self.output_buf];
-        let out_len = batch * self.buf_sizes[self.output_buf];
-        {
-            let QScratch { arena, out_f32, .. } = scratch;
-            self.output_params
-                .dequantize_into(&arena[out_off..out_off + out_len], &mut out_f32[..out_len]);
-        }
-        &scratch.out_f32[..out_len]
+        self.exec_steps(pool, scratch, plan, batch);
+        let (out_off, out_len) = self.buf_at(plan, self.output_buf, batch);
+        let QScratch { arena, out_f32, .. } = scratch;
+        self.output_params
+            .dequantize_into(&arena[out_off..out_off + out_len], &mut out_f32[..out_len]);
+        &out_f32[..out_len]
     }
 
-    /// Executes the step list over `batch` frames against a warm scratch,
-    /// using the batch plan's scaled buffer regions. Within every region
-    /// the frames sit contiguously (NCHW), so depthwise/pool steps
-    /// degenerate to the per-frame kernels over `batch × channels` planes
-    /// and stay bit-exact trivially; conv and linear get the
-    /// weight-amortized batched loops.
-    fn exec_steps_batched(&self, pool: Pool, scratch: &mut QScratch, batch: usize) {
-        let bp = self.batch_plan.as_ref().expect("batch plan");
+    /// Checks one entry call and picks its plan: the unit plan for a
+    /// single frame, so its latency and spans are those of a plain
+    /// [`Self::compile`], and the batch plan above that. Grows `scratch`
+    /// to the program's requirements.
+    fn plan_for(&self, scratch: &mut QScratch, input_len: usize, batch: usize) -> &Plan {
+        assert!(batch >= 1, "batch must be at least 1");
+        let plan = if batch == 1 {
+            &self.unit
+        } else {
+            let bp = self
+                .batch
+                .as_ref()
+                .expect("program was not compiled with compile_batched");
+            assert!(
+                batch <= bp.max_batch,
+                "batch {batch} exceeds compiled max_batch {}",
+                bp.max_batch
+            );
+            bp
+        };
+        assert_eq!(input_len, batch * self.buf_sizes[0], "input size mismatch");
+        scratch.reserve(self);
+        plan
+    }
+
+    /// Offset and *live* length (`batch × size`) of buffer `id`'s region
+    /// in `plan`.
+    fn buf_at(&self, plan: &Plan, id: usize, batch: usize) -> (usize, usize) {
+        (plan.buf_offsets[id], batch * self.buf_sizes[id])
+    }
+
+    /// Executes the step list over `batch` frames against a warm scratch
+    /// laid out by `plan`. Within every buffer region the frames sit
+    /// contiguously (NCHW), so depthwise/pool steps run the per-plane
+    /// kernels over `batch × channels` planes, and conv and linear get
+    /// the weight-amortized loops. Allocation-free, including the
+    /// np-trace probes (spans were registered at compile time; recording
+    /// writes into preallocated rings).
+    fn exec_steps(&self, pool: Pool, scratch: &mut QScratch, plan: &Plan, batch: usize) {
         let QScratch {
             arena,
             lowered,
             lowered_u8,
             ..
         } = scratch;
+        let buf = |id: usize| self.buf_at(plan, id, batch);
         let run_start = np_trace::start();
         for (step_idx, step) in self.steps.iter().enumerate() {
             let step_start = np_trace::start();
@@ -1062,26 +1026,26 @@ impl QuantizedProgram {
                     let (oh, ow) = geo.out_hw(*h, *w);
                     let cols = oh * ow;
                     let patch = geo.in_channels * geo.kernel * geo.kernel;
-                    let (in_off, in_len) = self.batch_buf_at(*input, batch);
-                    let (out_off, out_len) = self.batch_buf_at(*output, batch);
+                    let (in_off, in_len) = buf(*input);
+                    let (out_off, out_len) = buf(*output);
                     let pool = pool.for_work(batch * geo.out_channels * patch * cols);
                     match weights {
                         ConvWeights::I16 { packed, bias } => {
-                            let ps = patch_stride(patch);
-                            qim2row_batch_into(
+                            let lowered = &mut lowered[..batch * cols * patch_stride(patch)];
+                            qim2row_into(
                                 &arena[in_off..in_off + in_len],
                                 batch,
                                 *h,
                                 *w,
                                 *in_zp,
                                 *geo,
-                                &mut lowered[..batch * cols * ps],
+                                lowered,
                             );
-                            qconv_panels_batch_into(
+                            qconv_panels_into(
                                 pool,
                                 packed,
                                 patch,
-                                &lowered[..batch * cols * ps],
+                                lowered,
                                 bias,
                                 mults,
                                 *out_zp,
@@ -1094,21 +1058,21 @@ impl QuantizedProgram {
                             panels,
                             folded_bias,
                         } => {
-                            let flen = u8_lowered_len(cols, patch);
-                            qim2row_u8_batch_into(
+                            let lowered = &mut lowered_u8[..batch * u8_lowered_len(cols, patch)];
+                            qim2row_u8_into(
                                 &arena[in_off..in_off + in_len],
                                 batch,
                                 *h,
                                 *w,
                                 *in_zp,
                                 *geo,
-                                &mut lowered_u8[..batch * flen],
+                                lowered,
                             );
-                            qconv_panels_i8_batch_into(
+                            qconv_panels_i8_into(
                                 pool,
                                 panels,
                                 patch,
-                                &lowered_u8[..batch * flen],
+                                lowered,
                                 folded_bias,
                                 mults,
                                 *out_zp,
@@ -1137,40 +1101,29 @@ impl QuantizedProgram {
                 } => {
                     let oh = (h + 2 * padding - kernel) / stride + 1;
                     let ow = (w + 2 * padding - kernel) / stride + 1;
-                    let (inp, outp) = disjoint_pair(
-                        arena,
-                        self.batch_buf_at(*input, batch),
-                        self.batch_buf_at(*output, batch),
-                    );
-                    // NCHW concatenation makes the batch `batch*channels`
-                    // consecutive planes; plane `pi` belongs to channel
-                    // `pi % channels` of frame `pi / channels`.
-                    let planes = batch * channels;
-                    let pool = pool.for_work(planes * kernel * kernel * oh * ow);
-                    let chunk_len = pool.chunk_len_for(planes, oh * ow);
-                    let pl_per_chunk = chunk_len / (oh * ow).max(1);
-                    pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
-                        for (j, dst) in chunk.chunks_mut(oh * ow).enumerate() {
-                            let pi = idx * pl_per_chunk + j;
-                            let ci = pi % channels;
-                            qdw_plane(
-                                &inp[pi * h * w..(pi + 1) * h * w],
-                                *h,
-                                *w,
-                                *in_zp,
-                                *kernel,
-                                *stride,
-                                *padding,
-                                &weight[ci * kernel * kernel..(ci + 1) * kernel * kernel],
-                                bias[ci],
-                                mults[ci],
-                                *out_zp,
-                                *relu,
-                                dst,
-                                oh,
-                                ow,
-                            );
-                        }
+                    let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
+                    let k2 = kernel * kernel;
+                    // Plane `pi` belongs to channel `pi % channels` of
+                    // frame `pi / channels`.
+                    for_each_plane(pool, inp, h * w, outp, oh * ow, k2, |pi, plane, dst| {
+                        let ci = pi % channels;
+                        qdw_plane(
+                            plane,
+                            *h,
+                            *w,
+                            *in_zp,
+                            *kernel,
+                            *stride,
+                            *padding,
+                            &weight[ci * k2..(ci + 1) * k2],
+                            bias[ci],
+                            mults[ci],
+                            *out_zp,
+                            *relu,
+                            dst,
+                            oh,
+                            ow,
+                        );
                     });
                 }
                 Step::Linear {
@@ -1184,17 +1137,13 @@ impl QuantizedProgram {
                     input,
                     output,
                 } => {
-                    let (inp, outp) = disjoint_pair(
-                        arena,
-                        self.batch_buf_at(*input, batch),
-                        self.batch_buf_at(*output, batch),
-                    );
+                    let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
                     // Weight-row outer, frame inner: each row is streamed
-                    // from memory once per batch instead of once per
-                    // frame — the FC layer is pure GEMV, so this is where
-                    // all of its batch win comes from. Per-output
-                    // accumulation order is unchanged (r-ascending), so
-                    // results stay bit-exact.
+                    // from memory once per pass instead of once per frame
+                    // — the FC layer is pure GEMV, so this is where all of
+                    // its batch win comes from. Per-output accumulation
+                    // order is unchanged (r-ascending), so results stay
+                    // bit-exact.
                     for j in 0..*out_features {
                         let wrow = &weight[j * in_features..(j + 1) * in_features];
                         for b in 0..batch {
@@ -1212,117 +1161,77 @@ impl QuantizedProgram {
                     }
                 }
                 Step::MaxPool {
-                    channels,
                     h,
                     w,
                     kernel,
                     stride,
                     input,
                     output,
+                    ..
                 } => {
                     let oh = (h - kernel) / stride + 1;
                     let ow = (w - kernel) / stride + 1;
-                    let (inp, outp) = disjoint_pair(
-                        arena,
-                        self.batch_buf_at(*input, batch),
-                        self.batch_buf_at(*output, batch),
-                    );
-                    let planes = batch * channels;
-                    let pool = pool.for_work(planes * kernel * kernel * oh * ow);
-                    let chunk_len = pool.chunk_len_for(planes, oh * ow);
-                    let pl_per_chunk = chunk_len / (oh * ow).max(1);
-                    pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
-                        for (j, dst) in chunk.chunks_mut(oh * ow).enumerate() {
-                            let pi = idx * pl_per_chunk + j;
-                            let plane = &inp[pi * h * w..(pi + 1) * h * w];
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let mut best = i8::MIN;
-                                    for ky in 0..*kernel {
-                                        for kx in 0..*kernel {
-                                            best = best.max(
-                                                plane[(oy * stride + ky) * w + ox * stride + kx],
-                                            );
-                                        }
+                    let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
+                    let k2 = kernel * kernel;
+                    for_each_plane(pool, inp, h * w, outp, oh * ow, k2, |_, plane, dst| {
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let mut best = i8::MIN;
+                                for ky in 0..*kernel {
+                                    for kx in 0..*kernel {
+                                        best = best
+                                            .max(plane[(oy * stride + ky) * w + ox * stride + kx]);
                                     }
-                                    dst[oy * ow + ox] = best;
                                 }
+                                dst[oy * ow + ox] = best;
                             }
                         }
                     });
                 }
                 Step::AvgPool {
-                    channels,
                     h,
                     w,
                     kernel,
                     stride,
                     input,
                     output,
+                    ..
                 } => {
                     let oh = (h - kernel) / stride + 1;
                     let ow = (w - kernel) / stride + 1;
                     let div = (kernel * kernel) as i32;
-                    let (inp, outp) = disjoint_pair(
-                        arena,
-                        self.batch_buf_at(*input, batch),
-                        self.batch_buf_at(*output, batch),
-                    );
-                    let planes = batch * channels;
-                    let pool = pool.for_work(planes * kernel * kernel * oh * ow);
-                    let chunk_len = pool.chunk_len_for(planes, oh * ow);
-                    let pl_per_chunk = chunk_len / (oh * ow).max(1);
-                    pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
-                        for (j, dst) in chunk.chunks_mut(oh * ow).enumerate() {
-                            let pi = idx * pl_per_chunk + j;
-                            let plane = &inp[pi * h * w..(pi + 1) * h * w];
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let mut a = 0i32;
-                                    for ky in 0..*kernel {
-                                        for kx in 0..*kernel {
-                                            a += plane[(oy * stride + ky) * w + ox * stride + kx]
-                                                as i32;
-                                        }
+                    let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
+                    let k2 = kernel * kernel;
+                    for_each_plane(pool, inp, h * w, outp, oh * ow, k2, |_, plane, dst| {
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let mut a = 0i32;
+                                for ky in 0..*kernel {
+                                    for kx in 0..*kernel {
+                                        a +=
+                                            plane[(oy * stride + ky) * w + ox * stride + kx] as i32;
                                     }
-                                    let rounded = if a >= 0 {
-                                        (a + div / 2) / div
-                                    } else {
-                                        (a - div / 2) / div
-                                    };
-                                    dst[oy * ow + ox] = rounded.clamp(-128, 127) as i8;
                                 }
+                                dst[oy * ow + ox] = round_div(a, div);
                             }
                         }
                     });
                 }
                 Step::GlobalAvgPool {
-                    channels,
                     h,
                     w,
                     input,
                     output,
+                    ..
                 } => {
                     let div = (h * w) as i32;
-                    let (inp, outp) = disjoint_pair(
-                        arena,
-                        self.batch_buf_at(*input, batch),
-                        self.batch_buf_at(*output, batch),
-                    );
-                    let planes = batch * channels;
-                    for (pi, o) in outp.iter_mut().enumerate().take(planes) {
-                        let plane = &inp[pi * h * w..(pi + 1) * h * w];
-                        let sum: i32 = plane.iter().map(|&v| v as i32).sum();
-                        let rounded = if sum >= 0 {
-                            (sum + div / 2) / div
-                        } else {
-                            (sum - div / 2) / div
-                        };
-                        *o = rounded.clamp(-128, 127) as i8;
+                    let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
+                    for (o, plane) in outp.iter_mut().zip(inp.chunks_exact(h * w)) {
+                        *o = round_div(plane.iter().map(|&v| v as i32).sum(), div);
                     }
                 }
-                Step::ReluInPlace { zp, buf } => {
-                    let (off, len) = self.batch_buf_at(*buf, batch);
+                Step::ReluInPlace { zp, buf: id } => {
+                    let (off, len) = buf(*id);
                     let floor = (*zp).clamp(-128, 127) as i8;
                     for v in &mut arena[off..off + len] {
                         if (*v as i32) < *zp {
@@ -1332,298 +1241,51 @@ impl QuantizedProgram {
                 }
             }
             np_trace::finish(
-                bp.step_spans[step_idx],
+                plan.step_spans[step_idx],
                 step_start,
                 batch as u64 * self.step_bytes[step_idx],
             );
         }
-        // The batch size rides in the bytes field: `bytes / count` in a
-        // trace report is the mean B per batched pass.
-        np_trace::finish(bp.run_span, run_start, batch as u64);
+        let run_bytes = if plan.max_batch == 1 { 0 } else { batch as u64 };
+        np_trace::finish(plan.run_span, run_start, run_bytes);
     }
+}
 
-    /// Offset and *live* length (`batch × size`) of buffer `id`'s region
-    /// in the batched plan. Regions are laid out for `max_batch`, so a
-    /// smaller run uses a prefix — disjointness is inherited.
-    fn batch_buf_at(&self, id: usize, batch: usize) -> (usize, usize) {
-        let bp = self.batch_plan.as_ref().expect("batch plan");
-        (bp.buf_offsets[id], batch * self.buf_sizes[id])
-    }
-
-    /// Executes the step list against a warm scratch. Allocation-free,
-    /// including the np-trace probes (spans were registered at compile
-    /// time; recording writes into preallocated rings).
-    fn exec_steps(&self, pool: Pool, scratch: &mut QScratch) {
-        let QScratch {
-            arena,
-            lowered,
-            lowered_u8,
-            ..
-        } = scratch;
-        let frame_start = np_trace::start();
-        for (step_idx, step) in self.steps.iter().enumerate() {
-            let step_start = np_trace::start();
-            match step {
-                Step::Conv {
-                    geo,
-                    h,
-                    w,
-                    in_zp,
-                    weights,
-                    mults,
-                    out_zp,
-                    relu,
-                    input,
-                    output,
-                } => {
-                    let (oh, ow) = geo.out_hw(*h, *w);
-                    let cols = oh * ow;
-                    let patch = geo.in_channels * geo.kernel * geo.kernel;
-                    let (in_off, in_len) = self.buf_at(*input);
-                    let (out_off, out_len) = self.buf_at(*output);
-                    let pool = pool.for_work(geo.out_channels * patch * cols);
-                    match weights {
-                        ConvWeights::I16 { packed, bias } => {
-                            let ps = patch_stride(patch);
-                            qim2row_into(
-                                &arena[in_off..in_off + in_len],
-                                *h,
-                                *w,
-                                *in_zp,
-                                *geo,
-                                &mut lowered[..cols * ps],
-                            );
-                            qconv_panels_into(
-                                pool,
-                                packed,
-                                patch,
-                                &lowered[..cols * ps],
-                                bias,
-                                mults,
-                                *out_zp,
-                                *relu,
-                                &mut arena[out_off..out_off + out_len],
-                            );
-                        }
-                        ConvWeights::I8 {
-                            panels,
-                            folded_bias,
-                        } => {
-                            let flen = u8_lowered_len(cols, patch);
-                            qim2row_u8_into(
-                                &arena[in_off..in_off + in_len],
-                                *h,
-                                *w,
-                                *in_zp,
-                                *geo,
-                                &mut lowered_u8[..flen],
-                            );
-                            qconv_panels_i8_into(
-                                pool,
-                                panels,
-                                patch,
-                                &lowered_u8[..flen],
-                                folded_bias,
-                                mults,
-                                *out_zp,
-                                *relu,
-                                &mut arena[out_off..out_off + out_len],
-                            );
-                        }
-                    }
-                }
-                Step::Depthwise {
-                    channels,
-                    kernel,
-                    stride,
-                    padding,
-                    h,
-                    w,
-                    in_zp,
-                    weight,
-                    bias,
-                    mults,
-                    out_zp,
-                    relu,
-                    input,
-                    output,
-                } => {
-                    let oh = (h + 2 * padding - kernel) / stride + 1;
-                    let ow = (w + 2 * padding - kernel) / stride + 1;
-                    let (inp, outp) =
-                        disjoint_pair(arena, self.buf_at(*input), self.buf_at(*output));
-                    let pool = pool.for_work(channels * kernel * kernel * oh * ow);
-                    let chunk_len = pool.chunk_len_for(*channels, oh * ow);
-                    let ch_per_chunk = chunk_len / (oh * ow).max(1);
-                    pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
-                        for (j, dst) in chunk.chunks_mut(oh * ow).enumerate() {
-                            let ci = idx * ch_per_chunk + j;
-                            qdw_plane(
-                                &inp[ci * h * w..(ci + 1) * h * w],
-                                *h,
-                                *w,
-                                *in_zp,
-                                *kernel,
-                                *stride,
-                                *padding,
-                                &weight[ci * kernel * kernel..(ci + 1) * kernel * kernel],
-                                bias[ci],
-                                mults[ci],
-                                *out_zp,
-                                *relu,
-                                dst,
-                                oh,
-                                ow,
-                            );
-                        }
-                    });
-                }
-                Step::Linear {
-                    in_features,
-                    out_features,
-                    weight,
-                    folded_bias,
-                    mults,
-                    out_zp,
-                    relu,
-                    input,
-                    output,
-                } => {
-                    let (inp, outp) =
-                        disjoint_pair(arena, self.buf_at(*input), self.buf_at(*output));
-                    for j in 0..*out_features {
-                        let wrow = &weight[j * in_features..(j + 1) * in_features];
-                        let mut a = folded_bias[j];
-                        for (&x, &wv) in inp.iter().zip(wrow.iter()) {
-                            a += x as i32 * wv as i32;
-                        }
-                        let mut q = requantize_to_i8(a, mults[j], *out_zp);
-                        if *relu && (q as i32) < *out_zp {
-                            q = (*out_zp).clamp(-128, 127) as i8;
-                        }
-                        outp[j] = q;
-                    }
-                }
-                Step::MaxPool {
-                    channels,
-                    h,
-                    w,
-                    kernel,
-                    stride,
-                    input,
-                    output,
-                } => {
-                    let oh = (h - kernel) / stride + 1;
-                    let ow = (w - kernel) / stride + 1;
-                    let (inp, outp) =
-                        disjoint_pair(arena, self.buf_at(*input), self.buf_at(*output));
-                    let pool = pool.for_work(channels * kernel * kernel * oh * ow);
-                    let chunk_len = pool.chunk_len_for(*channels, oh * ow);
-                    let ch_per_chunk = chunk_len / (oh * ow).max(1);
-                    pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
-                        for (j, dst) in chunk.chunks_mut(oh * ow).enumerate() {
-                            let ci = idx * ch_per_chunk + j;
-                            let plane = &inp[ci * h * w..(ci + 1) * h * w];
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let mut best = i8::MIN;
-                                    for ky in 0..*kernel {
-                                        for kx in 0..*kernel {
-                                            best = best.max(
-                                                plane[(oy * stride + ky) * w + ox * stride + kx],
-                                            );
-                                        }
-                                    }
-                                    dst[oy * ow + ox] = best;
-                                }
-                            }
-                        }
-                    });
-                }
-                Step::AvgPool {
-                    channels,
-                    h,
-                    w,
-                    kernel,
-                    stride,
-                    input,
-                    output,
-                } => {
-                    let oh = (h - kernel) / stride + 1;
-                    let ow = (w - kernel) / stride + 1;
-                    let div = (kernel * kernel) as i32;
-                    let (inp, outp) =
-                        disjoint_pair(arena, self.buf_at(*input), self.buf_at(*output));
-                    let pool = pool.for_work(channels * kernel * kernel * oh * ow);
-                    let chunk_len = pool.chunk_len_for(*channels, oh * ow);
-                    let ch_per_chunk = chunk_len / (oh * ow).max(1);
-                    pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
-                        for (j, dst) in chunk.chunks_mut(oh * ow).enumerate() {
-                            let ci = idx * ch_per_chunk + j;
-                            let plane = &inp[ci * h * w..(ci + 1) * h * w];
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let mut a = 0i32;
-                                    for ky in 0..*kernel {
-                                        for kx in 0..*kernel {
-                                            a += plane[(oy * stride + ky) * w + ox * stride + kx]
-                                                as i32;
-                                        }
-                                    }
-                                    let rounded = if a >= 0 {
-                                        (a + div / 2) / div
-                                    } else {
-                                        (a - div / 2) / div
-                                    };
-                                    dst[oy * ow + ox] = rounded.clamp(-128, 127) as i8;
-                                }
-                            }
-                        }
-                    });
-                }
-                Step::GlobalAvgPool {
-                    channels,
-                    h,
-                    w,
-                    input,
-                    output,
-                } => {
-                    let div = (h * w) as i32;
-                    let (inp, outp) =
-                        disjoint_pair(arena, self.buf_at(*input), self.buf_at(*output));
-                    for (ci, o) in outp.iter_mut().enumerate().take(*channels) {
-                        let plane = &inp[ci * h * w..(ci + 1) * h * w];
-                        let sum: i32 = plane.iter().map(|&v| v as i32).sum();
-                        let rounded = if sum >= 0 {
-                            (sum + div / 2) / div
-                        } else {
-                            (sum - div / 2) / div
-                        };
-                        *o = rounded.clamp(-128, 127) as i8;
-                    }
-                }
-                Step::ReluInPlace { zp, buf } => {
-                    let (off, len) = self.buf_at(*buf);
-                    let floor = (*zp).clamp(-128, 127) as i8;
-                    for v in &mut arena[off..off + len] {
-                        if (*v as i32) < *zp {
-                            *v = floor;
-                        }
-                    }
-                }
-            }
-            np_trace::finish(
-                self.step_spans[step_idx],
-                step_start,
-                self.step_bytes[step_idx],
-            );
+/// Runs `body(plane_index, in_plane, out_plane)` over the consecutive
+/// `in_plane`/`out_plane`-element planes of `inp`/`outp`, parallel over
+/// whole planes. `taps` is the per-output-element work that sizes the
+/// pool (see [`Pool::for_work`]); chunk boundaries depend only on the
+/// shape, so results never depend on the pool width.
+fn for_each_plane(
+    pool: Pool,
+    inp: &[i8],
+    in_plane: usize,
+    outp: &mut [i8],
+    out_plane: usize,
+    taps: usize,
+    body: impl Fn(usize, &[i8], &mut [i8]) + Sync,
+) {
+    let planes = outp.len() / out_plane.max(1);
+    let pool = pool.for_work(planes * taps * out_plane);
+    let chunk_len = pool.chunk_len_for(planes, out_plane);
+    let per_chunk = chunk_len / out_plane.max(1);
+    pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
+        for (j, dst) in chunk.chunks_mut(out_plane).enumerate() {
+            let pi = idx * per_chunk + j;
+            body(pi, &inp[pi * in_plane..(pi + 1) * in_plane], dst);
         }
-        np_trace::finish(self.frame_span, frame_start, 0);
-    }
+    });
+}
 
-    fn buf_at(&self, id: usize) -> (usize, usize) {
-        (self.buf_offsets[id], self.buf_sizes[id])
-    }
+/// `sum / div` rounded half away from zero and clamped to i8 — the
+/// average-pool requantization.
+fn round_div(sum: i32, div: i32) -> i8 {
+    let rounded = if sum >= 0 {
+        (sum + div / 2) / div
+    } else {
+        (sum - div / 2) / div
+    };
+    rounded.clamp(-128, 127) as i8
 }
 
 #[cfg(test)]
@@ -1839,6 +1501,34 @@ mod tests {
         let mut scratch = QScratch::for_program(&program);
         let inputs = vec![0i8; 2 * 256];
         let _ = program.run_int_batched(Pool::serial(), &mut scratch, &inputs, 2);
+    }
+
+    /// `batch == 0` is refused by the entry check itself, before any
+    /// plan or kernel sees it, whether or not a batch plan exists.
+    fn run_empty_batch(max_batch: usize) {
+        let mut rng = SmallRng::seed(49);
+        let net = mixed_net(&mut rng, 16);
+        let calib = calib_batch(&mut rng, 4, 16);
+        let qnet = QuantizedNetwork::quantize(&net, &calib);
+        let program = if max_batch == 1 {
+            qnet.compile((1, 16, 16))
+        } else {
+            qnet.compile_batched((1, 16, 16), max_batch)
+        };
+        let mut scratch = QScratch::for_program(&program);
+        let _ = program.run_int_batched(Pool::serial(), &mut scratch, &[], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch must be at least 1")]
+    fn empty_batch_is_rejected_on_a_plain_program() {
+        run_empty_batch(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch must be at least 1")]
+    fn empty_batch_is_rejected_on_a_batch_compiled_program() {
+        run_empty_batch(4);
     }
 
     #[test]

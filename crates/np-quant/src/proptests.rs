@@ -11,8 +11,8 @@ use crate::kernels::{
 };
 use crate::lowering::{patch_stride, qgemm_row, u8_lowered_len};
 use crate::microkernel::{
-    fold_offset_bias, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_batch_into,
-    qconv_panels_i8_frames_into, qconv_panels_into, KernelIsa, NR_I8,
+    fold_offset_bias, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_impl,
+    qconv_panels_i8_into, qconv_panels_into, KernelIsa, NR_I8,
 };
 use crate::program::QScratch;
 use crate::qnetwork::QuantizedNetwork;
@@ -168,7 +168,7 @@ proptest! {
             let mut got = vec![0i8; out_channels * cols];
             qconv_panels_into(
                 Pool::new(threads),
-                &packed, patch, &low, &bias, &mults, out_zp, relu, &mut got,
+                &packed, patch, &low, &bias, &mults, out_zp, relu, 1, &mut got,
             );
             prop_assert_eq!(&got, &want, "threads {}", threads);
         }
@@ -183,7 +183,7 @@ proptest! {
     /// epilogue rails are exercised — across B ∈ {1, 2, 8} frames,
     /// every pool width an `NP_THREADS=1..8` run resolves to, and with
     /// the SIMD body forced off (the host-dispatched body is covered by
-    /// the public batch entry).
+    /// the public entry).
     #[test]
     fn i8_microkernel_matches_i16_reference_at_adversarial_corners(
         out_channels in 1usize..13,
@@ -256,7 +256,7 @@ proptest! {
         for batch in [1usize, 2, 8] {
             for threads in 1usize..=8 {
                 let mut got = vec![0i8; batch * out_channels * cols];
-                qconv_panels_i8_batch_into(
+                qconv_panels_i8_into(
                     Pool::new(threads),
                     &panels, patch, &low[..batch * flen], &fb, &mults, out_zp, relu,
                     batch, &mut got,
@@ -269,7 +269,7 @@ proptest! {
         }
         // Forced-scalar body, independent of the host dispatch.
         let mut got = vec![0i8; 8 * out_channels * cols];
-        qconv_panels_i8_frames_into(
+        qconv_panels_i8_impl(
             Pool::serial(), &panels, patch, &low, &fb, &mults, out_zp, relu,
             8, &mut got, false,
         );

@@ -64,20 +64,6 @@ impl Im2colSpec {
 ///
 /// Panics if `input.len() != channels * height * width`.
 pub fn im2col(input: &[f32], spec: Im2colSpec) -> Vec<f32> {
-    let mut out = vec![0.0; spec.rows() * spec.cols()];
-    im2col_into(input, spec, &mut out);
-    out
-}
-
-/// [`im2col`] into a caller-provided buffer of exactly
-/// `spec.rows() * spec.cols()` elements — no allocation, bitwise-identical
-/// output. This is the hot-path entry the prepacked executors use with
-/// planner-assigned scratch.
-///
-/// # Panics
-///
-/// Panics if `input` or `out` have the wrong length.
-pub fn im2col_into(input: &[f32], spec: Im2colSpec, out: &mut [f32]) {
     assert_eq!(
         input.len(),
         spec.channels * spec.height * spec.width,
@@ -85,8 +71,7 @@ pub fn im2col_into(input: &[f32], spec: Im2colSpec, out: &mut [f32]) {
     );
     let (oh, ow) = (spec.out_height(), spec.out_width());
     let cols = oh * ow;
-    assert_eq!(out.len(), spec.rows() * cols, "scratch size mismatch");
-    out.fill(0.0);
+    let mut out = vec![0.0; spec.rows() * cols];
     let pad = spec.padding as isize;
 
     let mut row = 0;
@@ -113,60 +98,7 @@ pub fn im2col_into(input: &[f32], spec: Im2colSpec, out: &mut [f32]) {
             }
         }
     }
-}
-
-/// Batched [`im2col_into`]: lowers `batch` equally-shaped CHW images
-/// (concatenated NCHW in `input`) into one `rows x (batch * cols)` matrix
-/// where frame `b` owns the contiguous column block
-/// `[b * cols, (b + 1) * cols)` of every row. A single GEMM against this
-/// matrix convolves the whole batch, so each filter row is streamed once
-/// per batch instead of once per frame — the cross-frame amortization the
-/// batched int8 runtime builds on (`np-quant` uses the patch-major
-/// transpose of the same column order).
-///
-/// # Panics
-///
-/// Panics if `input` or `out` have the wrong length, or `batch == 0`.
-pub fn im2col_batch_into(input: &[f32], batch: usize, spec: Im2colSpec, out: &mut [f32]) {
-    assert!(batch > 0, "batch must be at least 1");
-    let frame_len = spec.channels * spec.height * spec.width;
-    assert_eq!(input.len(), batch * frame_len, "input size mismatch");
-    let cols = spec.cols();
-    let total_cols = batch * cols;
-    assert_eq!(out.len(), spec.rows() * total_cols, "scratch size mismatch");
-    out.fill(0.0);
-    let (oh, ow) = (spec.out_height(), spec.out_width());
-    let pad = spec.padding as isize;
-
-    for b in 0..batch {
-        let frame = &input[b * frame_len..(b + 1) * frame_len];
-        let mut row = 0;
-        for c in 0..spec.channels {
-            let plane = &frame[c * spec.height * spec.width..(c + 1) * spec.height * spec.width];
-            for ky in 0..spec.kernel {
-                for kx in 0..spec.kernel {
-                    let dst =
-                        &mut out[row * total_cols + b * cols..row * total_cols + (b + 1) * cols];
-                    for oy in 0..oh {
-                        let iy = oy as isize * spec.stride as isize + ky as isize - pad;
-                        if iy < 0 || iy >= spec.height as isize {
-                            continue; // stays zero (padding)
-                        }
-                        let src_row =
-                            &plane[iy as usize * spec.width..(iy as usize + 1) * spec.width];
-                        let dst_row = &mut dst[oy * ow..(oy + 1) * ow];
-                        for (ox, d) in dst_row.iter_mut().enumerate() {
-                            let ix = ox as isize * spec.stride as isize + kx as isize - pad;
-                            if ix >= 0 && ix < spec.width as isize {
-                                *d = src_row[ix as usize];
-                            }
-                        }
-                    }
-                    row += 1;
-                }
-            }
-        }
-    }
+    out
 }
 
 /// Adjoint of [`im2col`]: scatters a `rows x cols` matrix back into a CHW
@@ -260,39 +192,6 @@ mod tests {
         assert_eq!(m[0], 0.0);
         // Kernel centre (1,1) for output (0,0) is input (0,0) = 1.0.
         assert_eq!(m[4 * 4], 1.0);
-    }
-
-    #[test]
-    fn batched_im2col_blocks_equal_per_frame_lowering() {
-        // Frame b's column block of the batched matrix must be exactly the
-        // per-frame im2col output, for a geometry with stride, padding and
-        // multiple channels.
-        let spec = Im2colSpec {
-            channels: 2,
-            height: 5,
-            width: 4,
-            kernel: 3,
-            stride: 2,
-            padding: 1,
-        };
-        let frame_len = spec.channels * spec.height * spec.width;
-        let batch = 3;
-        let input: Vec<f32> = (0..batch * frame_len)
-            .map(|i| (i as f32 * 0.37).sin())
-            .collect();
-        let (rows, cols) = (spec.rows(), spec.cols());
-        let mut batched = vec![9.0f32; rows * batch * cols];
-        im2col_batch_into(&input, batch, spec, &mut batched);
-        for b in 0..batch {
-            let want = im2col(&input[b * frame_len..(b + 1) * frame_len], spec);
-            for r in 0..rows {
-                assert_eq!(
-                    &batched[r * batch * cols + b * cols..r * batch * cols + (b + 1) * cols],
-                    &want[r * cols..(r + 1) * cols],
-                    "frame {b} row {r}"
-                );
-            }
-        }
     }
 
     #[test]

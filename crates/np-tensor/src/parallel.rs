@@ -17,8 +17,8 @@
 //! 1. **Independent outputs, shared kernel.** Work items own disjoint
 //!    output slices, and the per-item arithmetic is the *same code path*
 //!    regardless of which worker runs it or how items are partitioned.
-//!    [`Pool::run`] and [`Pool::for_each_chunk`] only decide *who* computes
-//!    an item, never *how*.
+//!    [`Pool::for_each_chunk`] and [`Pool::for_each_mut`] only decide *who*
+//!    computes an item, never *how*.
 //! 2. **Fixed-shape reductions.** When results must be summed (e.g. weight
 //!    gradients across a batch), callers reduce over fixed-size chunks
 //!    whose boundaries depend only on the problem size — never on the
@@ -177,35 +177,6 @@ pub fn cpus_available() -> usize {
 }
 
 impl Pool {
-    /// Runs `task(i)` for every `i in 0..n_tasks`, distributing indices
-    /// across the pool with an atomic work-stealing counter. The calling
-    /// thread participates, so a 1-thread pool (or `n_tasks <= 1`) runs
-    /// everything inline. Returns after all tasks complete.
-    pub fn run(&self, n_tasks: usize, task: impl Fn(usize) + Sync) {
-        let workers = self.threads.min(n_tasks);
-        record_region(workers, n_tasks);
-        if workers <= 1 {
-            for i in 0..n_tasks {
-                task(i);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n_tasks {
-                break;
-            }
-            task(i);
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(work);
-            }
-            work();
-        });
-    }
-
     /// Splits `data` into consecutive chunks of `chunk_len` elements (the
     /// last may be shorter) and runs `body(chunk_index, chunk)` for each,
     /// distributed across the pool. Chunk boundaries depend only on
@@ -246,12 +217,12 @@ impl Pool {
     }
 
     /// Runs `body(i, &mut data[i])` for every element, distributing
-    /// indices across the pool with the same atomic work-stealing counter
-    /// as [`Pool::run`]. Unlike [`Pool::for_each_chunk`] with a chunk
-    /// length of one item, claiming an element costs a single relaxed
-    /// `fetch_add` instead of a mutex round-trip — the shape a serving
-    /// tick wants when thousands of per-session slots each carry an
-    /// unpredictable amount of work (empty, little-only, or escalated).
+    /// indices across the pool with an atomic work-stealing counter.
+    /// Unlike [`Pool::for_each_chunk`] with a chunk length of one item,
+    /// claiming an element costs a single relaxed `fetch_add` instead of
+    /// a mutex round-trip — the shape a serving tick wants when thousands
+    /// of per-session slots each carry an unpredictable amount of work
+    /// (empty, little-only, or escalated).
     ///
     /// Element boundaries are fixed by the slice itself, so which worker
     /// runs an element can never change results; a 1-thread pool runs
@@ -296,66 +267,6 @@ impl Pool {
         });
     }
 
-    /// Splits two buffers into the same number of paired consecutive
-    /// chunks (`a` by `a_chunk_len`, `b` by `b_chunk_len`; the last pair
-    /// may be shorter) and runs `body(chunk_index, a_chunk, b_chunk)` for
-    /// each pair, distributed across the pool. Used by fused kernels that
-    /// stage into a scratch chunk and finish into an output chunk while
-    /// both are cache-hot. Chunk boundaries depend only on buffer lengths,
-    /// never on the thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two buffers do not split into the same number of
-    /// chunks.
-    pub fn for_each_chunk_pair<A: Send, B: Send>(
-        &self,
-        a: &mut [A],
-        a_chunk_len: usize,
-        b: &mut [B],
-        b_chunk_len: usize,
-        body: impl Fn(usize, &mut [A], &mut [B]) + Sync,
-    ) {
-        let a_chunk_len = a_chunk_len.max(1);
-        let b_chunk_len = b_chunk_len.max(1);
-        let n_chunks = a.len().div_ceil(a_chunk_len);
-        assert_eq!(
-            n_chunks,
-            b.len().div_ceil(b_chunk_len),
-            "paired buffers must split into the same number of chunks"
-        );
-        let workers = self.threads.min(n_chunks);
-        record_region(workers, n_chunks);
-        if workers <= 1 {
-            for (idx, (ca, cb)) in a
-                .chunks_mut(a_chunk_len)
-                .zip(b.chunks_mut(b_chunk_len))
-                .enumerate()
-            {
-                body(idx, ca, cb);
-            }
-            return;
-        }
-        let queue = Mutex::new(
-            a.chunks_mut(a_chunk_len)
-                .zip(b.chunks_mut(b_chunk_len))
-                .enumerate(),
-        );
-        let work = || loop {
-            let item = queue.lock().expect("chunk queue poisoned").next();
-            match item {
-                Some((idx, (ca, cb))) => body(idx, ca, cb),
-                None => break,
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(work);
-            }
-            work();
-        });
-    }
-
     /// Maps `f` over `0..n` in parallel, returning results in index order.
     pub fn map<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
         let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
@@ -373,21 +284,6 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn run_covers_every_index_exactly_once() {
-        for threads in [1, 2, 3, 8] {
-            let pool = Pool::new(threads);
-            for n in [0usize, 1, 7, 64] {
-                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                pool.run(n, |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-            }
-        }
-    }
 
     #[test]
     fn for_each_chunk_boundaries_are_thread_independent() {
@@ -437,50 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_pair_pairs_corresponding_chunks() {
-        for threads in [1, 2, 5] {
-            let pool = Pool::new(threads);
-            // 3 chunks on both sides: 11 by 4 and 5 by 2.
-            let mut a = vec![0u32; 11];
-            let mut b = vec![0u8; 5];
-            pool.for_each_chunk_pair(&mut a, 4, &mut b, 2, |idx, ca, cb| {
-                for v in ca.iter_mut() {
-                    *v = idx as u32 + 1;
-                }
-                for v in cb.iter_mut() {
-                    *v = ca.len() as u8;
-                }
-            });
-            let expect_a: Vec<u32> = (0..11).map(|i| i as u32 / 4 + 1).collect();
-            assert_eq!(a, expect_a);
-            // Chunks of a have lengths 4, 4, 3; b pairs see those lengths.
-            assert_eq!(b, vec![4, 4, 4, 4, 3]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "same number of chunks")]
-    fn for_each_chunk_pair_rejects_mismatched_counts() {
-        let mut a = vec![0u32; 8];
-        let mut b = vec![0u32; 3];
-        Pool::serial().for_each_chunk_pair(&mut a, 4, &mut b, 1, |_, _, _| {});
-    }
-
-    #[test]
     fn map_preserves_index_order() {
         for threads in [1, 4] {
             let out = Pool::new(threads).map(17, |i| i * i);
             assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn run_sums_match_serial() {
-        let total = AtomicU64::new(0);
-        Pool::new(4).run(100, |i| {
-            total.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 4950);
     }
 
     #[test]

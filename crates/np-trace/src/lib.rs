@@ -142,8 +142,8 @@ pub struct FrameEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Parallel regions entered (`Pool::run` / `for_each_chunk` /
-    /// `for_each_chunk_pair`).
+    /// Parallel regions entered (`Pool::for_each_chunk` /
+    /// `Pool::for_each_mut`).
     PoolRegions,
     /// Parallel regions that ran inline on the calling thread (width 1 or
     /// clamped by `for_work`).

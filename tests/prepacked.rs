@@ -1,12 +1,11 @@
 //! Exact-parity checks between the plan-once/run-many compiled programs
 //! and the reference per-call execution paths, on the real paper networks
 //! (proxy resolution). Integer arithmetic must be *bitwise* identical on
-//! any thread count; the float program must be bitwise identical because
-//! it replicates the reference operation order exactly.
+//! any thread count.
 
 use nanopose::nn::init::{Initializer, SmallRng};
 use nanopose::nn::layers::{BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, Linear, Relu};
-use nanopose::nn::{FScratch, FloatProgram, Sequential};
+use nanopose::nn::Sequential;
 use nanopose::quant::{QScratch, QuantizedNetwork};
 use nanopose::tensor::parallel::Pool;
 use nanopose::tensor::Tensor;
@@ -214,28 +213,6 @@ fn i8_and_i16_programs_are_bitwise_equal_on_zoo_networks() {
                 );
                 assert_eq!(got, &want[..], "{} b={batch} t={threads}", id.name());
             }
-        }
-    }
-}
-
-#[test]
-fn float_program_is_bitwise_equal_on_zoo_networks() {
-    for id in [ModelId::F1, ModelId::F2, ModelId::M10] {
-        let mut rng = SmallRng::seed(31);
-        let mut net = id.build_proxy(&mut rng);
-        // Populate BatchNorm running statistics before eval-mode parity.
-        for seed in [40u64, 41] {
-            let _ = net.forward_train(&frames(2, seed));
-        }
-        let program = FloatProgram::compile(&net, PROXY_INPUT);
-        let mut scratch = FScratch::for_program(&program);
-
-        let frame = frames(1, 8);
-        for threads in THREADS {
-            let pool = Pool::new(threads);
-            let want = net.forward_with(pool, &frame);
-            let got = program.forward_prepacked(pool, &mut scratch, frame.as_slice());
-            assert_eq!(got, want.as_slice(), "{} t={threads}", id.name());
         }
     }
 }

@@ -9,10 +9,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use nanopose::adaptive::{BatchCollector, FrameRunner};
+use nanopose::adaptive::FrameRunner;
 use nanopose::nn::init::{Initializer, SmallRng};
 use nanopose::nn::layers::{BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, Linear, Relu};
-use nanopose::nn::{FScratch, FloatProgram, Sequential};
+use nanopose::nn::Sequential;
 use nanopose::quant::{QScratch, QuantizedNetwork};
 use nanopose::serve::{ServeConfig, Server, ServingEnsemble, SessionId};
 use nanopose::tensor::parallel::Pool;
@@ -198,21 +198,6 @@ fn steady_state_frames_do_not_allocate() {
         assert_eq!(n, 0, "forward_batched allocated in steady state");
     }
 
-    // --- Float program ---------------------------------------------------
-    let mut fnet = ModelId::F1.build_proxy(&mut rng);
-    let _ = fnet.forward_train(&calib);
-    let fprogram = FloatProgram::compile(&fnet, PROXY_INPUT);
-    let mut fscratch = FScratch::new();
-    let _ = fprogram.forward_prepacked(pool, &mut fscratch, frame.as_slice());
-    for _ in 0..3 {
-        let (n, _) =
-            allocs_during(|| fprogram.forward_prepacked(pool, &mut fscratch, frame.as_slice())[0]);
-        assert_eq!(
-            n, 0,
-            "FloatProgram::forward_prepacked allocated in steady state"
-        );
-    }
-
     // --- Streaming runner: both the ensemble and the small-only path -----
     let big = ModelId::M10.build_proxy(&mut rng);
     let qbig = QuantizedNetwork::quantize(&big, &calib);
@@ -232,31 +217,6 @@ fn steady_state_frames_do_not_allocate() {
         r.decision
     );
     assert!(!r.decision.runs_big(), "identical frame should stay small");
-
-    // --- Batch collector: stage + flush cycle ----------------------------
-    // Both halves of the collector's cadence must be allocation-free once
-    // its preallocated staging exists: staging pushes (a copy into the
-    // batch buffer) and the flush itself (batched little pass, policy
-    // walk, gathered batched big pass).
-    let mut collector = BatchCollector::new(&qnet, &qbig, PROXY_INPUT, 0.5, pool, 4, u64::MAX);
-    let warm = frames(1, 54);
-    for t in 0..4u64 {
-        let _ = collector.push(warm.as_slice(), t); // warm-up group
-    }
-    assert_eq!(collector.frames(), 4);
-    let (n, _) = allocs_during(|| {
-        for t in 0..3u64 {
-            assert!(collector.push(moved.as_slice(), t).is_none());
-        }
-        let results = collector.push(moved.as_slice(), 3).expect("full batch");
-        results.len()
-    });
-    assert_eq!(n, 0, "BatchCollector push/flush cycle allocated");
-    let (n, _) = allocs_during(|| {
-        let _ = collector.push(moved.as_slice(), 0);
-        collector.flush().len()
-    });
-    assert_eq!(n, 0, "BatchCollector partial flush allocated");
 
     // --- Serving: session slab + multiplexed tick loop -------------------
     // Admission hands out warm slab slots, and the steady submit → tick →
@@ -347,6 +307,40 @@ fn steady_state_frames_do_not_allocate() {
             }
         });
         assert_eq!(n, 0, "span-ring wraparound allocated");
+
+        // A single frame through the batched entry of a batch-compiled
+        // program is a batch of one on the per-frame plan: it records the
+        // `{name}/NN-kind` step spans and the `{name}/frame` span with the
+        // per-frame byte counts, and never a `{name}@batch/` span.
+        nanopose::trace::reset();
+        let _ = bprogram.forward_batched(pool, &mut bscratch, frame.as_slice(), 1);
+        let summary = nanopose::trace::summary();
+        let recorded = |name: &str| {
+            summary
+                .iter()
+                .filter(|s| s.name == name && s.count > 0)
+                .collect::<Vec<_>>()
+        };
+        let batch_prefix = format!("{}@batch/", bprogram.name());
+        assert!(
+            summary
+                .iter()
+                .all(|s| s.count == 0 || !s.name.starts_with(&batch_prefix)),
+            "a b=1 pass recorded batch-plan spans"
+        );
+        for w in bprogram.step_workloads() {
+            let name = format!("{}/{:02}-{}", bprogram.name(), w.index, w.kind);
+            let spans = recorded(&name);
+            assert_eq!(spans.len(), 1, "b=1 pass did not record {name} once");
+            assert_eq!((spans[0].count, spans[0].bytes), (1, w.io_bytes), "{name}");
+        }
+        let frame_span = recorded(&format!("{}/frame", bprogram.name()));
+        assert_eq!(
+            frame_span.len(),
+            1,
+            "b=1 pass did not record the frame span"
+        );
+        assert_eq!((frame_span[0].count, frame_span[0].bytes), (1, 0));
 
         assert!(nanopose::trace::active());
         nanopose::trace::disable();
