@@ -3,6 +3,22 @@
 # Mirrors what reviewers run; keep it green before pushing.
 set -eu
 
+# Runs `$1 -- <names>` (a `cargo test` command line) after checking that
+# every name filter lists at least one test: libtest passes with zero
+# tests run when a filter matches nothing, so a renamed or deleted test
+# would otherwise drop out of its leg silently.
+test_named() {
+    cmd=$1
+    shift
+    for name in "$@"; do
+        if ! $cmd -- --list "$name" 2>/dev/null | grep -q ': test$'; then
+            echo "ci.sh: '$cmd' lists no test named '$name'" >&2
+            exit 1
+        fi
+    done
+    $cmd -- "$@"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -34,19 +50,18 @@ cargo run --release -q -p np-bench --features trace --bin trace_report \
     BENCH_trace.json /tmp/BENCH_trace_events.json >/dev/null
 
 echo "==> kernel exactness proptests (release: optimizer must not change results)"
-cargo test -q --release -p np-quant -- \
+test_named "cargo test -q --release -p np-quant" \
     microkernel_matches_qgemm_row_at_ragged_shapes \
     depthwise_fast_path_matches_reference_at_ragged_shapes \
-    lowered_qconv2d_equals_reference_exactly \
-    qdepthwise_pool_parity_is_exact
+    lowered_qconv2d_equals_reference_exactly
 
 echo "==> raw-i8 kernel exactness proptests (release)"
-cargo test -q --release -p np-quant -- \
+test_named "cargo test -q --release -p np-quant" \
     i8_microkernel_matches_i16_reference_at_adversarial_corners \
     i8_program_equals_scalar_i16_program_across_batches
 
 echo "==> batched exactness proptests (release)"
-cargo test -q --release -p np-quant -- \
+test_named "cargo test -q --release -p np-quant" \
     batched_microkernel_equals_per_frame_runs \
     run_int_batched_equals_independent_prepacked_runs
 
@@ -55,7 +70,7 @@ echo "==> forced-scalar leg: NP_ISA pins the portable kernel bodies"
 # fallbacks are covered even on an AVX2 host (and an AVX2-only bug cannot
 # hide behind a scalar-only CI box, or vice versa). The explicitly
 # raw-i8 programs of the isa-parity suite run the portable i8 body here.
-NP_ISA=scalar cargo test -q --release -p np-quant -- \
+test_named "env NP_ISA=scalar cargo test -q --release -p np-quant" \
     microkernel_matches_qgemm_row_at_ragged_shapes \
     depthwise_fast_path_matches_reference_at_ragged_shapes \
     i8_microkernel_matches_i16_reference_at_adversarial_corners \

@@ -49,7 +49,9 @@ pub struct EvalTable {
 pub enum Backend<'a> {
     /// Float (f32) proxy model.
     Float(&'a mut Sequential),
-    /// Integer-only quantized model (deployment arithmetic).
+    /// Integer-only quantized model (deployment arithmetic), run through
+    /// [`QuantizedNetwork::forward_with`]'s compiled program, so tables
+    /// score exactly the int8 network the streaming runtime executes.
     Quantized(&'a QuantizedNetwork),
 }
 

@@ -286,13 +286,17 @@ mod tests {
         let r = runner.run_frame(frame.as_slice());
         assert_eq!(r.decision, Decision::Ensemble);
 
-        // The streamed outputs are exactly the networks' own outputs.
-        let want_l = ql.forward_with(Pool::serial(), &frame);
-        let want_b = qb.forward_with(Pool::serial(), &frame);
-        assert_eq!(&r.little_scaled[..], want_l.as_slice());
-        assert_eq!(&r.big_scaled.expect("big ran")[..], want_b.as_slice());
+        // The streamed outputs are exactly the networks' own outputs, as
+        // the scalar oracle computes them.
+        let oracle = |q: &QuantizedNetwork| {
+            let (yq, _) = q.run_int(&q.input_params().quantize_slice(frame.as_slice()), CHW);
+            q.output_params().dequantize_slice(&yq)
+        };
+        let (want_l, want_b) = (oracle(&ql), oracle(&qb));
+        assert_eq!(&r.little_scaled[..], &want_l[..]);
+        assert_eq!(&r.big_scaled.expect("big ran")[..], &want_b[..]);
         for i in 0..4 {
-            let mid = (want_l.as_slice()[i] + want_b.as_slice()[i]) / 2.0;
+            let mid = (want_l[i] + want_b[i]) / 2.0;
             assert_eq!(r.scaled[i], mid);
         }
     }

@@ -2,7 +2,8 @@
 //! deployment kernels, at Frontnet-layer shapes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use np_quant::kernels::{qconv2d, qconv2d_reference, qconv2d_with, QConvGeometry};
+use np_bench::lowered_qconv;
+use np_quant::kernels::{qconv2d_reference, QConvGeometry};
 use np_quant::requant::FixedMultiplier;
 use np_tensor::conv::{conv2d, depthwise_conv2d, Conv2dSpec};
 use np_tensor::im2col::{im2col, Im2colSpec};
@@ -139,7 +140,8 @@ fn bench_kernels(c: &mut Criterion) {
     let mults = vec![FixedMultiplier::from_real(0.003); 32];
     c.bench_function("qconv2d_i8_mid_3x3", |b| {
         b.iter(|| {
-            black_box(qconv2d(
+            black_box(lowered_qconv(
+                Pool::global(),
                 black_box(&qx),
                 12,
                 20,
@@ -149,7 +151,6 @@ fn bench_kernels(c: &mut Criterion) {
                 &bias,
                 &mults,
                 5,
-                true,
             ))
         })
     });
@@ -202,7 +203,7 @@ fn bench_kernels(c: &mut Criterion) {
         });
         c.bench_function(&format!("qconv2d_lowered_{label}"), |b| {
             b.iter(|| {
-                black_box(qconv2d_with(
+                black_box(lowered_qconv(
                     Pool::serial(),
                     black_box(&qx),
                     h,
@@ -213,7 +214,6 @@ fn bench_kernels(c: &mut Criterion) {
                     &qb,
                     &qm,
                     5,
-                    true,
                 ))
             })
         });

@@ -14,22 +14,18 @@
 //!
 //! Usage: `cargo run --release -p np-bench --bin bench_kernels [out.json]`
 
-use np_quant::kernels::{qconv2d_reference, qconv2d_with, QConvGeometry};
+use np_bench::{best_ns_interleaved, lowered_qconv};
+use np_quant::kernels::{qconv2d_reference, QConvGeometry};
 use np_quant::lowering::{patch_stride, u8_lowered_len};
 use np_quant::microkernel::{
     fold_offset_bias, kernel_isa, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_into,
     qconv_panels_into, KernelIsa, NR_I8,
 };
 use np_quant::requant::FixedMultiplier;
-
-fn bias_for(oc: usize) -> Vec<i32> {
-    vec![100i32; oc]
-}
 use np_tensor::matmul::matmul_acc_with;
 use np_tensor::parallel::Pool;
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Dominant conv layer of each paper network at the 96×160 deployment
 /// resolution (same table as `benches/kernels.rs`).
@@ -121,16 +117,7 @@ fn pseudo_i8(n: usize, seed: u64) -> Vec<i8> {
 /// Best-of-`REPS` wall time of `f` in nanoseconds (minimum filters out
 /// scheduler noise, the standard micro-benchmark estimator).
 fn time_ns(mut f: impl FnMut()) -> f64 {
-    for _ in 0..WARMUP {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e9);
-    }
-    best
+    best_ns_interleaved(1, WARMUP, REPS, |_| f())[0]
 }
 
 fn mac_per_s(macs: u64, ns: f64) -> f64 {
@@ -177,7 +164,7 @@ fn main() {
             ));
         });
         let lowered_ns = time_ns(|| {
-            black_box(qconv2d_with(
+            black_box(lowered_qconv(
                 Pool::serial(),
                 black_box(&qx),
                 h,
@@ -188,7 +175,6 @@ fn main() {
                 &qb,
                 &qm,
                 5,
-                true,
             ));
         });
         let speedup = direct_ns / lowered_ns;
@@ -413,7 +399,7 @@ fn main() {
         let in_zp = -3i32;
         let weight = pseudo_i8(oc * patch, 21);
         let packed = pack_conv_panels_i8(&weight, oc, patch);
-        let fb = fold_offset_bias(&bias_for(oc), &weight, oc, patch, in_zp);
+        let fb = fold_offset_bias(&vec![100i32; oc], &weight, oc, patch, in_zp);
         let mults = vec![FixedMultiplier::from_real(0.003); oc];
         // Per-frame-blocked batched u8 lowering: frame b owns the slice
         // [b*flen, (b+1)*flen) — byte-identical to eight independent
@@ -436,32 +422,31 @@ fn main() {
         let frame_macs = (oc * patch * cols) as u64;
         let total_macs = BATCH_FRAMES as u64 * frame_macs;
         let mut out = vec![0i8; BATCH_FRAMES * oc * cols];
-        let mut rows = String::new();
-        let mut b1_ns = 0.0;
-        for &b in BATCH_SWEEP.iter() {
-            let groups = BATCH_FRAMES / b;
-            let ns = time_ns(|| {
-                for g in 0..groups {
-                    let low = &lowered[g * b * flen..(g + 1) * b * flen];
-                    let o = &mut out[g * b * oc * cols..(g + 1) * b * oc * cols];
-                    qconv_panels_i8_into(
-                        Pool::serial(),
-                        &packed,
-                        patch,
-                        black_box(low),
-                        &fb,
-                        &mults,
-                        5,
-                        true,
-                        b,
-                        o,
-                    );
-                }
-                black_box(&out);
-            });
-            if b == 1 {
-                b1_ns = ns;
+        // The batch sizes are the arms of the B=8-vs-B=1 gate below, so
+        // they are timed interleaved.
+        let sweep_ns = best_ns_interleaved(BATCH_SWEEP.len(), WARMUP, REPS, |arm| {
+            let b = BATCH_SWEEP[arm];
+            for g in 0..BATCH_FRAMES / b {
+                let low = &lowered[g * b * flen..(g + 1) * b * flen];
+                let o = &mut out[g * b * oc * cols..(g + 1) * b * oc * cols];
+                qconv_panels_i8_into(
+                    Pool::serial(),
+                    &packed,
+                    patch,
+                    black_box(low),
+                    &fb,
+                    &mults,
+                    5,
+                    true,
+                    b,
+                    o,
+                );
             }
+            black_box(&out);
+        });
+        let b1_ns = sweep_ns[0];
+        let mut rows = String::new();
+        for (&b, &ns) in BATCH_SWEEP.iter().zip(&sweep_ns) {
             let speedup = b1_ns / ns;
             if b == 8 {
                 batch8_speedups.push((label, speedup));

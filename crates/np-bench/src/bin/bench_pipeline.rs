@@ -1,14 +1,15 @@
 //! End-to-end inference benchmark emitting `BENCH_pipeline.json`.
 //!
-//! Measures what the plan-once/run-many runtime actually buys per frame:
+//! Measures the plan-once/run-many runtime per frame:
 //!
-//! 1. **Alloc-per-frame vs prepacked** — `QuantizedNetwork::run_int_with`
-//!    (fresh `Vec`s for im2col scratch, accumulators and every layer
-//!    output) against `QuantizedProgram::run_int_prepacked` (planned
-//!    arena, packed weight panels) on the F1 / F2 / M1.0 proxies, with
-//!    wall time and heap-allocation counts from a counting global
-//!    allocator.
-//! 2. **Streaming ensembles** — the paper's D1 = (F1, M1.0) and
+//! 1. **Prepacked** — `QuantizedProgram::run_int_prepacked` (planned
+//!    arena, packed weight panels) on the F1 / F2 / M1.0 proxies: wall
+//!    time, heap allocations from a counting global allocator (which must
+//!    be zero), and the packed-weight and scratch bytes of both conv
+//!    weight formats.
+//! 2. **Batched throughput** — the same programs over 8 frames in groups
+//!    of B through `run_int_batched`, with a B=8-vs-B=1 no-loss gate.
+//! 3. **Streaming ensembles** — the paper's D1 = (F1, M1.0) and
 //!    D2 = (F2, M1.0) adaptive loops driven by [`FrameRunner`] over a
 //!    synthetic frame stream, reporting per-frame latency, big-model
 //!    rate, and steady-state allocations (which must be zero).
@@ -19,6 +20,7 @@
 //! Usage: `cargo run --release -p np-bench --bin bench_pipeline [out.json]`
 
 use np_adaptive::FrameRunner;
+use np_bench::best_ns_interleaved;
 use np_nn::init::SmallRng;
 use np_quant::{QScratch, QuantizedNetwork};
 use np_tensor::parallel::Pool;
@@ -75,20 +77,6 @@ fn pseudo_frames(n: usize, seed: u64) -> Tensor {
     Tensor::from_vec(&[n, c, h, w], data)
 }
 
-/// Best-of-`REPS` wall time of `f` in nanoseconds.
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    for _ in 0..WARMUP {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e9);
-    }
-    best
-}
-
 /// Heap allocations performed by one call of `f` (call after warm-up).
 fn allocs_of(mut f: impl FnMut()) -> usize {
     f(); // warm-up: let scratch growth happen outside the measurement
@@ -124,15 +112,10 @@ fn main() {
         "  \"input_chw\": [{}, {}, {}],",
         PROXY_INPUT.0, PROXY_INPUT.1, PROXY_INPUT.2
     );
+    // The key predates the deletion of the alloc-per-frame arm; it stays
+    // so `bench_compare` keeps matching these fields against the baseline.
     json.push_str("  \"alloc_per_frame_vs_prepacked\": [\n");
 
-    // The per-call path shares the register-blocked kernels with the
-    // prepacked path, so kernel time dominates both and the wall-clock gap
-    // between them is mostly per-frame packing + allocator traffic. The
-    // gate is therefore: prepacked is never meaningfully slower (>=
-    // `MIN_SPEEDUP` within measurement noise) and allocates nothing.
-    const MIN_SPEEDUP: f64 = 0.9;
-    let mut no_regression = true;
     let mut prepacked_alloc_free = true;
     for (i, (id, qnet)) in nets.iter().enumerate() {
         let program = qnet.compile(PROXY_INPUT);
@@ -151,31 +134,20 @@ fn main() {
         let scratch16 = QScratch::for_program(&p16).bytes();
         let scratch8 = QScratch::for_program(&p8).bytes();
 
-        let alloc_ns = time_ns(|| {
-            black_box(qnet.run_int_with(pool, black_box(&q), PROXY_INPUT));
-        });
-        let prepacked_ns = time_ns(|| {
+        let prepacked_ns = best_ns_interleaved(1, WARMUP, REPS, |_| {
             black_box(program.run_int_prepacked(pool, &mut scratch, black_box(&q)));
-        });
-        let allocs_per_frame = allocs_of(|| {
-            black_box(qnet.run_int_with(pool, black_box(&q), PROXY_INPUT));
-        });
+        })[0];
         let prepacked_allocs = allocs_of(|| {
             black_box(program.run_int_prepacked(pool, &mut scratch, black_box(&q)));
         });
 
-        let speedup = alloc_ns / prepacked_ns;
-        no_regression &= speedup >= MIN_SPEEDUP;
         prepacked_alloc_free &= prepacked_allocs == 0;
         eprintln!(
-            "[bench_pipeline] {}: alloc-path {:.0} ns ({} allocs), prepacked {:.0} ns \
-             ({} allocs), {:.2}x; packed i16 {} B -> i8 {} B, scratch {} B -> {} B",
+            "[bench_pipeline] {}: prepacked {:.0} ns ({} allocs); \
+             packed i16 {} B -> i8 {} B, scratch {} B -> {} B",
             id.name(),
-            alloc_ns,
-            allocs_per_frame,
             prepacked_ns,
             prepacked_allocs,
-            speedup,
             p16.packed_weight_bytes(),
             p8.packed_weight_bytes(),
             scratch16,
@@ -186,9 +158,7 @@ fn main() {
             "    {{\"model\": \"{}\", \"arena_bytes\": {}, \"packed_weight_bytes\": {}, \
              \"packed_weight_bytes_i16\": {}, \"packed_weight_bytes_i8\": {}, \
              \"scratch_bytes_i16\": {scratch16}, \"scratch_bytes_i8\": {scratch8}, \
-             \"alloc_path_ns\": {alloc_ns:.0}, \"alloc_path_allocs_per_frame\": {allocs_per_frame}, \
-             \"prepacked_ns\": {prepacked_ns:.0}, \"prepacked_allocs_per_frame\": {prepacked_allocs}, \
-             \"speedup\": {speedup:.3}}}{}",
+             \"prepacked_ns\": {prepacked_ns:.0}, \"prepacked_allocs_per_frame\": {prepacked_allocs}}}{}",
             id.name(),
             program.arena_bytes(),
             program.packed_weight_bytes(),
@@ -220,21 +190,21 @@ fn main() {
         let stream = pseudo_frames(BATCH_FRAMES, 9);
         let qs = qnet.input_params().quantize_slice(stream.as_slice());
 
-        let mut rows = String::new();
-        let mut b1_ns = 0.0;
-        for &b in BATCH_SWEEP.iter() {
-            let groups = BATCH_FRAMES / b;
-            let run_all = |scratch: &mut QScratch| {
-                for g in 0..groups {
-                    let qb = &qs[g * b * frame_len..(g + 1) * b * frame_len];
-                    black_box(program.run_int_batched(pool, scratch, black_box(qb), b));
-                }
-            };
-            let ns = time_ns(|| run_all(&mut scratch));
-            let allocs = allocs_of(|| run_all(&mut scratch));
-            if b == 1 {
-                b1_ns = ns;
+        let run_all = |scratch: &mut QScratch, b: usize| {
+            for g in 0..BATCH_FRAMES / b {
+                let qb = &qs[g * b * frame_len..(g + 1) * b * frame_len];
+                black_box(program.run_int_batched(pool, scratch, black_box(qb), b));
             }
+        };
+        // The batch sizes are the arms of the B=8-vs-B=1 gate below, so
+        // they are timed interleaved.
+        let sweep_ns = best_ns_interleaved(BATCH_SWEEP.len(), WARMUP, REPS, |arm| {
+            run_all(&mut scratch, BATCH_SWEEP[arm])
+        });
+        let b1_ns = sweep_ns[0];
+        let mut rows = String::new();
+        for (&b, &ns) in BATCH_SWEEP.iter().zip(&sweep_ns) {
+            let allocs = allocs_of(|| run_all(&mut scratch, b));
             let speedup = b1_ns / ns;
             if b == BATCH_FRAMES {
                 batched_no_loss &= speedup >= 0.95;
@@ -316,10 +286,6 @@ fn main() {
 
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("{json}");
-    assert!(
-        no_regression,
-        "prepacked path regressed below {MIN_SPEEDUP}x of the alloc-per-frame path"
-    );
     assert!(
         prepacked_alloc_free,
         "prepacked path allocated in steady state"

@@ -33,6 +33,11 @@ use np_dory::{deploy, DeploymentPlan};
 use np_gap8::Gap8Config;
 use np_nn::init::SmallRng;
 use np_nn::Sequential;
+use np_quant::kernels::QConvGeometry;
+use np_quant::lowering::{patch_stride, qim2row_into};
+use np_quant::microkernel::{pack_conv_panels, qconv_panels_into};
+use np_quant::requant::FixedMultiplier;
+use np_tensor::parallel::Pool;
 use np_zoo::{cache, train_aux, train_regressor, ModelId, TrainRecipe};
 
 /// Pure parser behind the `NP_SCALE` override. `Ok(None)` means unset
@@ -340,9 +345,76 @@ pub fn row(cells: &[String]) -> String {
     format!("| {} |", cells.join(" | "))
 }
 
+/// Best-of-`reps` wall time in nanoseconds of each of `arms` benchmark
+/// arms, for the in-bench ratio gates. Every rep runs `run(arm)` once per
+/// arm, rotating which arm goes first, so host drift during the
+/// measurement lands on every arm alike instead of on whichever block of
+/// reps ran last. `warmup` untimed rounds of every arm run first.
+pub fn best_ns_interleaved(
+    arms: usize,
+    warmup: usize,
+    reps: usize,
+    mut run: impl FnMut(usize),
+) -> Vec<f64> {
+    for _ in 0..warmup {
+        (0..arms).for_each(&mut run);
+    }
+    let mut best = vec![f64::INFINITY; arms];
+    for rep in 0..reps {
+        for k in 0..arms {
+            let arm = (rep + k) % arms;
+            let t = std::time::Instant::now();
+            run(arm);
+            best[arm] = best[arm].min(t.elapsed().as_secs_f64() * 1e9);
+        }
+    }
+    best
+}
+
+/// The im2row-lowered int8 conv with fused ReLU and all of its per-call
+/// work, for the kernel benches: allocate, lower, pack the filters into
+/// i16 panels, run the panel kernel on `pool` (clamped to the work size).
+/// A compiled program packs once at compile time instead.
+#[allow(clippy::too_many_arguments)]
+pub fn lowered_qconv(
+    pool: Pool,
+    input: &[i8],
+    h: usize,
+    w: usize,
+    in_zp: i32,
+    geo: QConvGeometry,
+    weight: &[i8],
+    bias: &[i32],
+    mults: &[FixedMultiplier],
+    out_zp: i32,
+) -> Vec<i8> {
+    let patch = geo.in_channels * geo.kernel * geo.kernel;
+    let (oh, ow) = geo.out_hw(h, w);
+    let cols = oh * ow;
+    let mut lowered = vec![0i16; cols * patch_stride(patch)];
+    qim2row_into(input, 1, h, w, in_zp, geo, &mut lowered);
+    let packed = pack_conv_panels(weight, geo.out_channels, patch);
+    let mut out = vec![0i8; geo.out_channels * cols];
+    let pool = pool.for_work(geo.out_channels * patch * cols);
+    qconv_panels_into(
+        pool, &packed, patch, &lowered, bias, mults, out_zp, true, 1, &mut out,
+    );
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interleaved_timing_rotates_the_first_arm() {
+        let mut order = Vec::new();
+        let best = best_ns_interleaved(3, 1, 3, |arm| order.push(arm));
+        assert_eq!(best.len(), 3);
+        assert!(best.iter().all(|ns| ns.is_finite()));
+        // One warm-up round, then reps starting at arms 0, 1, 2.
+        assert_eq!(order, [0, 1, 2, 0, 1, 2, 1, 2, 0, 2, 0, 1]);
+    }
 
     #[test]
     fn scale_from_env_default_full() {

@@ -44,7 +44,6 @@ use np_zoo::channels::PROXY_INPUT;
 use np_zoo::ModelId;
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Frames per model for the layer-profiling section.
 const PROFILE_FRAMES: usize = 30;
@@ -65,20 +64,6 @@ fn pseudo_frames(n: usize, seed: u64) -> Tensor {
         })
         .collect();
     Tensor::from_vec(&[n, c, h, w], data)
-}
-
-/// Best-of-`OVERHEAD_REPS` wall time of `f` in nanoseconds.
-fn best_ns(mut f: impl FnMut()) -> f64 {
-    for _ in 0..3 {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..OVERHEAD_REPS {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e9);
-    }
-    best
 }
 
 /// True for the per-step spans of `model` that np-dory also prices:
@@ -131,14 +116,20 @@ pub fn main() {
     let mut scratch = QScratch::for_program(&program);
     let q = qm10.input_params().quantize_slice(frame.as_slice());
 
-    np_trace::disable();
-    let off_ns = best_ns(|| {
+    // Arm 0 runs with the recorder off, arm 1 with it on, interleaved rep
+    // by rep so host drift cannot masquerade as (negative) overhead. The
+    // toggle is timed with its arm: a store, plus an uncontended lock on
+    // enable, tens of nanoseconds against a ~1 ms frame.
+    let best = crate::best_ns_interleaved(2, 3, OVERHEAD_REPS, |arm| {
+        if arm == 0 {
+            np_trace::disable();
+        } else {
+            np_trace::enable();
+        }
         black_box(program.run_int_prepacked(pool, &mut scratch, black_box(&q)));
     });
     np_trace::enable();
-    let on_ns = best_ns(|| {
-        black_box(program.run_int_prepacked(pool, &mut scratch, black_box(&q)));
-    });
+    let (off_ns, on_ns) = (best[0], best[1]);
     let overhead_pct = 100.0 * (on_ns / off_ns - 1.0);
     np_trace::info!(
         "[trace_report] M1.0 per-frame: recorder off {off_ns:.0} ns, \

@@ -2,22 +2,19 @@
 //! fixed-point requantization. These mirror the PULP-NN kernels DORY emits
 //! for the GAP8 cluster.
 //!
-//! Standard convolution runs im2row-lowered through the register-blocked
-//! microkernel (see [`crate::microkernel`]) and parallelizes over output
-//! channel panels on an explicit [`Pool`]; the original direct six-loop
-//! walk is kept as [`qconv2d_reference`] and pinned to the fast path by
-//! exact-equality tests — integer arithmetic is exact, so the two agree
-//! bit for bit. Depthwise convolution has a direct fast path that splits
-//! each plane into an interior (all taps in bounds: no branches, zero
-//! point folded into the bias, per-channel filter held in a register
-//! array) and guarded edges; the old guarded loop survives as
-//! [`qdepthwise_conv2d_reference`].
+//! The public convolutions are the serial reference loops
+//! [`qconv2d_reference`] and [`qdepthwise_conv2d_reference`], from which
+//! the scalar oracle [`QuantizedNetwork::run_int`](crate::QuantizedNetwork::run_int)
+//! is built. The compiled [`QuantizedProgram`](crate::QuantizedProgram)
+//! runs standard convolution im2row-lowered through the register-blocked
+//! microkernel (see [`crate::microkernel`]) and depthwise convolution
+//! through `qdw_plane`, which splits each plane into an interior (all taps
+//! in bounds: no branches, zero point folded into the bias, per-channel
+//! filter held in a register array) and guarded edges. Integer arithmetic
+//! is exact, so exact-equality tests pin fast paths to references.
 
-use crate::lowering::{patch_stride, qim2row_into};
-use crate::microkernel::{pack_conv_panels, qconv_panels_into};
 use crate::qparams::fold_zero_point;
 use crate::requant::{requantize_to_i8, FixedMultiplier};
-use np_tensor::parallel::Pool;
 
 /// Geometry of an integer convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,93 +41,15 @@ impl QConvGeometry {
     }
 }
 
-/// Integer standard convolution over one CHW image, im2col-lowered, on the
-/// global pool.
+/// Integer standard convolution over one CHW image: the direct six-loop
+/// walk, serial, kept as the obviously-correct reference for the
+/// program's lowered path.
 ///
 /// * `input`: `C_in * H * W` i8 values with zero point `in_zp`
 /// * `weight`: `C_out * C_in * K * K` symmetric i8 (zero point 0)
 /// * `bias`: per-output-channel i32 at accumulator scale
 /// * `mults`: per-output-channel requantization multipliers
 /// * `relu`: clamp output at the output zero point (fused ReLU)
-///
-/// # Panics
-///
-/// Panics on size mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn qconv2d(
-    input: &[i8],
-    h: usize,
-    w: usize,
-    in_zp: i32,
-    geo: QConvGeometry,
-    weight: &[i8],
-    bias: &[i32],
-    mults: &[FixedMultiplier],
-    out_zp: i32,
-    relu: bool,
-) -> Vec<i8> {
-    qconv2d_with(
-        Pool::global(),
-        input,
-        h,
-        w,
-        in_zp,
-        geo,
-        weight,
-        bias,
-        mults,
-        out_zp,
-        relu,
-    )
-}
-
-/// [`qconv2d`] on an explicit pool: im2row lowering followed by the
-/// register-blocked [`qconv_panels_into`] microkernel, parallel over
-/// output channel panels.
-///
-/// This convenience entry packs the weights per call; the prepacked
-/// program path packs once at compile time and reuses the panels every
-/// frame. Integer math makes the result identical for every pool size.
-///
-/// # Panics
-///
-/// Panics on size mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn qconv2d_with(
-    pool: Pool,
-    input: &[i8],
-    h: usize,
-    w: usize,
-    in_zp: i32,
-    geo: QConvGeometry,
-    weight: &[i8],
-    bias: &[i32],
-    mults: &[FixedMultiplier],
-    out_zp: i32,
-    relu: bool,
-) -> Vec<i8> {
-    assert_eq!(input.len(), geo.in_channels * h * w, "input size");
-    let patch = geo.in_channels * geo.kernel * geo.kernel;
-    assert_eq!(weight.len(), geo.out_channels * patch, "weight size");
-    assert_eq!(bias.len(), geo.out_channels, "bias size");
-    assert_eq!(mults.len(), geo.out_channels, "multiplier count");
-
-    let (oh, ow) = geo.out_hw(h, w);
-    let cols = oh * ow;
-    let mut lowered = vec![0i16; cols * patch_stride(patch)];
-    qim2row_into(input, 1, h, w, in_zp, geo, &mut lowered);
-    let packed = pack_conv_panels(weight, geo.out_channels, patch);
-    let mut out = vec![0i8; geo.out_channels * cols];
-    let pool = pool.for_work(geo.out_channels * patch * cols);
-    qconv_panels_into(
-        pool, &packed, patch, &lowered, bias, mults, out_zp, relu, 1, &mut out,
-    );
-    out
-}
-
-/// The direct six-loop convolution, kept as the obviously-correct reference
-/// for the lowered path. Same conventions as [`qconv2d`]; results are
-/// exactly equal.
 ///
 /// # Panics
 ///
@@ -195,113 +114,10 @@ pub fn qconv2d_reference(
     out
 }
 
-/// Integer depthwise convolution over one CHW image, on the global pool.
-///
-/// `weight` is `C * K * K`; all other conventions match [`qconv2d`].
-///
-/// # Panics
-///
-/// Panics on size mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn qdepthwise_conv2d(
-    input: &[i8],
-    h: usize,
-    w: usize,
-    in_zp: i32,
-    channels: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-    weight: &[i8],
-    bias: &[i32],
-    mults: &[FixedMultiplier],
-    out_zp: i32,
-    relu: bool,
-) -> Vec<i8> {
-    qdepthwise_conv2d_with(
-        Pool::global(),
-        input,
-        h,
-        w,
-        in_zp,
-        channels,
-        kernel,
-        stride,
-        padding,
-        weight,
-        bias,
-        mults,
-        out_zp,
-        relu,
-    )
-}
-
-/// [`qdepthwise_conv2d`] on an explicit pool, parallel over channel groups
-/// (each channel is an independent plane, exactly the per-core split DORY
-/// uses for depthwise layers on the GAP8 cluster). Each plane runs the
-/// interior/edge fast path of [`qdw_plane`]; results are bit-identical to
-/// [`qdepthwise_conv2d_reference`] at any pool width.
-///
-/// # Panics
-///
-/// Panics on size mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn qdepthwise_conv2d_with(
-    pool: Pool,
-    input: &[i8],
-    h: usize,
-    w: usize,
-    in_zp: i32,
-    channels: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-    weight: &[i8],
-    bias: &[i32],
-    mults: &[FixedMultiplier],
-    out_zp: i32,
-    relu: bool,
-) -> Vec<i8> {
-    assert_eq!(input.len(), channels * h * w, "input size");
-    assert_eq!(weight.len(), channels * kernel * kernel, "weight size");
-    assert_eq!(bias.len(), channels, "bias size");
-    assert_eq!(mults.len(), channels, "multiplier count");
-
-    let oh = (h + 2 * padding - kernel) / stride + 1;
-    let ow = (w + 2 * padding - kernel) / stride + 1;
-    let mut out = vec![0i8; channels * oh * ow];
-
-    let pool = pool.for_work(channels * kernel * kernel * oh * ow);
-    let chunk_len = pool.chunk_len_for(channels, oh * ow);
-    let ch_per_chunk = chunk_len / (oh * ow).max(1);
-    pool.for_each_chunk(&mut out, chunk_len, |idx, chunk| {
-        for (j, dst) in chunk.chunks_mut(oh * ow).enumerate() {
-            let c = idx * ch_per_chunk + j;
-            qdw_plane(
-                &input[c * h * w..(c + 1) * h * w],
-                h,
-                w,
-                in_zp,
-                kernel,
-                stride,
-                padding,
-                &weight[c * kernel * kernel..(c + 1) * kernel * kernel],
-                bias[c],
-                mults[c],
-                out_zp,
-                relu,
-                dst,
-                oh,
-                ow,
-            );
-        }
-    });
-    out
-}
-
-/// The original guarded depthwise loop, kept as the obviously-correct
-/// reference for the interior/edge fast path. Serial; same conventions
-/// and bit-identical results as [`qdepthwise_conv2d`].
+/// Integer depthwise convolution over one CHW image: the guarded loop,
+/// serial, kept as the obviously-correct reference for the interior/edge
+/// fast path (`qdw_plane`). `weight` is `C * K * K`; all other
+/// conventions match [`qconv2d_reference`].
 ///
 /// # Panics
 ///
@@ -777,7 +593,7 @@ mod tests {
         let mult = FixedMultiplier::from_real(in_p.scale * w_p.scale / out_p.scale);
         let mults = vec![mult; 3];
 
-        let got = qconv2d(
+        let got = qconv2d_reference(
             &xq,
             h,
             w,
@@ -826,61 +642,10 @@ mod tests {
         let input = vec![100i8, -100];
         let weight = vec![-127i8];
         let mult = FixedMultiplier::from_real(0.01);
-        let out = qconv2d(&input, 1, 2, 0, geo, &weight, &[0], &[mult], -10, true);
+        let out = qconv2d_reference(&input, 1, 2, 0, geo, &weight, &[0], &[mult], -10, true);
         // First output is very negative -> clamped to zp (-10).
         assert_eq!(out[0], -10);
         assert!(out[1] > -10);
-    }
-
-    #[test]
-    fn lowered_equals_reference_exactly() {
-        // Integer arithmetic: the lowered path must match the direct loop
-        // bit for bit, across strides, paddings, and pool sizes.
-        let mut s = 99u64;
-        let mut pseudo_i8 = move |n: usize| -> Vec<i8> {
-            (0..n)
-                .map(|_| {
-                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    (s >> 56) as i8
-                })
-                .collect()
-        };
-        for (cin, cout, k, stride, padding, h, w) in [
-            (1, 1, 1, 1, 0, 4, 4),
-            (2, 3, 3, 1, 1, 6, 5),
-            (3, 4, 5, 2, 2, 9, 8),
-            (2, 2, 3, 2, 0, 7, 7),
-            (1, 5, 3, 3, 1, 10, 6),
-        ] {
-            let geo = QConvGeometry {
-                in_channels: cin,
-                out_channels: cout,
-                kernel: k,
-                stride,
-                padding,
-            };
-            let input = pseudo_i8(cin * h * w);
-            let weight = pseudo_i8(cout * cin * k * k);
-            let bias: Vec<i32> = (0..cout as i32).map(|i| i * 17 - 20).collect();
-            let mults = vec![FixedMultiplier::from_real(0.03); cout];
-            let want = qconv2d_reference(&input, h, w, 3, geo, &weight, &bias, &mults, -5, true);
-            for threads in [1, 2, 8] {
-                let got = qconv2d_with(
-                    Pool::new(threads),
-                    &input,
-                    h,
-                    w,
-                    3,
-                    geo,
-                    &weight,
-                    &bias,
-                    &mults,
-                    -5,
-                    true,
-                );
-                assert_eq!(got, want, "geo {geo:?} at {threads} threads");
-            }
-        }
     }
 
     #[test]

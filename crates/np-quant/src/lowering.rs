@@ -1,4 +1,5 @@
-//! im2col lowering and the integer GEMM microkernel behind [`qconv2d`].
+//! im2col/im2row lowering and the integer GEMM row kernels behind the
+//! compiled program's conv steps.
 //!
 //! The direct six-loop convolution in `kernels.rs` walks the input with a
 //! bounds check per tap; lowering first materializes every receptive-field
@@ -11,8 +12,6 @@
 //! All arithmetic is integer (i16 operands, i32 accumulation), so results
 //! are exactly equal to the direct reference and independent of how work is
 //! partitioned across threads.
-//!
-//! [`qconv2d`]: crate::kernels::qconv2d
 
 use crate::kernels::QConvGeometry;
 
@@ -32,8 +31,9 @@ pub fn qim2col(input: &[i8], h: usize, w: usize, in_zp: i32, geo: QConvGeometry)
 
 /// [`qim2col`] into a caller-provided buffer of exactly
 /// `C_in*K*K * H_out*W_out` i16 slots — no allocation, identical output.
-/// This is the entry the prepacked executor uses with planner-assigned
-/// scratch.
+/// The prepacked executor does not use this column-major layout: it lowers
+/// patch-major with [`qim2row_into`] (or [`qim2row_u8_into`] for the i8
+/// kernels) into planner-assigned scratch.
 ///
 /// # Panics
 ///

@@ -1,13 +1,14 @@
-//! Plan-once, run-many execution of a [`QuantizedNetwork`].
+//! Plan-once, run-many execution of a [`QuantizedNetwork`]: the crate's
+//! one fast int8 executor.
 //!
-//! [`QuantizedNetwork::run_int`] allocates fresh `Vec`s for the im2col
-//! scratch, the i32 accumulators, and every layer output on every frame.
-//! That is fine for evaluation sweeps but wrong for the paper's actual
-//! runtime: DORY plans every GAP8 buffer statically before the first frame
-//! and the steady-state loop never touches an allocator.
+//! [`QuantizedNetwork::run_int`] is the scalar oracle: serial, a fresh
+//! `Vec` for every layer output, built from the reference loops alone.
+//! That suits a test oracle but not the paper's actual runtime: DORY
+//! plans every GAP8 buffer statically before the first frame and the
+//! steady-state loop never touches an allocator.
 //!
-//! [`QuantizedProgram::compile`] performs the same split for a fixed input
-//! shape:
+//! [`QuantizedNetwork::compile`] performs the same split for a fixed
+//! input shape:
 //!
 //! * every intermediate gets a byte size and a live range, and the
 //!   [`np_tensor::arena`] planner bin-packs them into one arena with
@@ -40,7 +41,7 @@
 use crate::kernels::{qdw_plane, QConvGeometry};
 use crate::lowering::{patch_stride, qim2row_into, qim2row_u8_into, u8_lowered_len};
 use crate::microkernel::{
-    fold_offset_bias, kernel_isa, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_into,
+    fold_offset_bias, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_into,
     qconv_panels_into, KernelIsa,
 };
 use crate::qnetwork::{QLayer, QuantizedNetwork};
@@ -345,9 +346,9 @@ struct Plan {
 
 impl Plan {
     /// Plans `reqs` for `max_batch` frames per pass and registers the
-    /// plan's spans.
+    /// plan's spans under `name`; without a name they are all INACTIVE.
     fn new(
-        name: &str,
+        name: Option<&str>,
         steps: &[Step],
         reqs: &[BufferReq],
         max_batch: usize,
@@ -356,9 +357,13 @@ impl Plan {
     ) -> Plan {
         let arena = plan_arena_batched(reqs, max_batch);
         let (prefix, run) = if max_batch == 1 {
-            (name.to_string(), "frame")
+            (name.map(str::to_string), "frame")
         } else {
-            (format!("{name}@batch"), "run")
+            (name.map(|name| format!("{name}@batch")), "run")
+        };
+        let span = |path: String| match &prefix {
+            Some(prefix) => np_trace::register_span(&format!("{prefix}/{path}")),
+            None => np_trace::SpanId::INACTIVE,
         };
         Plan {
             max_batch,
@@ -369,9 +374,9 @@ impl Plan {
             step_spans: steps
                 .iter()
                 .enumerate()
-                .map(|(i, s)| np_trace::register_span(&format!("{prefix}/{i:02}-{}", s.kind())))
+                .map(|(i, s)| span(format!("{i:02}-{}", s.kind())))
                 .collect(),
-            run_span: np_trace::register_span(&format!("{prefix}/{run}")),
+            run_span: span(run.to_string()),
         }
     }
 }
@@ -397,65 +402,30 @@ pub struct QuantizedProgram {
     isa: KernelIsa,
     /// The per-frame plan every single-frame pass runs on.
     unit: Plan,
-    /// Present iff compiled with [`Self::compile_batched`] and
-    /// `max_batch > 1`: the scaled plan for passes of 2..=`max_batch`
-    /// frames.
+    /// Present iff compiled with [`QuantizedNetwork::compile_batched`]
+    /// and `max_batch > 1`: the scaled plan for passes of
+    /// 2..=`max_batch` frames.
     batch: Option<Plan>,
 }
 
 impl QuantizedProgram {
-    /// Compiles `net` for inputs of shape `chw`. All planning, packing,
-    /// and bias folding happens here, once. The conv weight format
-    /// follows the process-wide [`kernel_isa`] (raw-i8 panels on AVX2
-    /// hosts, i16 panels otherwise / under `NP_ISA`).
-    pub fn compile(net: &QuantizedNetwork, chw: (usize, usize, usize)) -> Self {
-        Self::compile_with(net, chw, 1, kernel_isa())
-    }
-
-    /// [`Self::compile`] with an explicit kernel isa instead of the
-    /// process-wide default — lets tests and benchmarks pin the i16 and
-    /// i8 formats side by side in one process regardless of `NP_ISA`.
-    pub fn compile_for_isa(
-        net: &QuantizedNetwork,
-        chw: (usize, usize, usize),
-        isa: KernelIsa,
-    ) -> Self {
-        Self::compile_with(net, chw, 1, isa)
-    }
-
-    /// [`Self::compile_batched`] with an explicit kernel isa; see
-    /// [`Self::compile_for_isa`].
-    pub fn compile_batched_for_isa(
+    /// The one constructor behind [`QuantizedNetwork`]'s `compile*`
+    /// wrappers: compiles `net` for inputs of shape `chw` with conv
+    /// weights packed for `isa`, plus a batch plan when `max_batch > 1`.
+    /// `traced` registers the plans' np-trace spans; a throwaway
+    /// per-call program passes `false` so the registry does not grow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_batch == 0`.
+    pub(crate) fn compile_with(
         net: &QuantizedNetwork,
         chw: (usize, usize, usize),
         max_batch: usize,
         isa: KernelIsa,
+        traced: bool,
     ) -> Self {
         assert!(max_batch >= 1, "max_batch must be at least 1");
-        Self::compile_with(net, chw, max_batch, isa)
-    }
-
-    /// [`Self::compile`] plus a cross-frame batch plan: the returned
-    /// program additionally supports [`Self::run_int_batched`] /
-    /// [`Self::forward_batched`] for any batch size up to `max_batch`.
-    /// The per-frame entry points are unchanged — they keep using the
-    /// unscaled plan, so single-frame latency is identical to a plain
-    /// [`Self::compile`].
-    pub fn compile_batched(
-        net: &QuantizedNetwork,
-        chw: (usize, usize, usize),
-        max_batch: usize,
-    ) -> Self {
-        assert!(max_batch >= 1, "max_batch must be at least 1");
-        Self::compile_with(net, chw, max_batch, kernel_isa())
-    }
-
-    fn compile_with(
-        net: &QuantizedNetwork,
-        chw: (usize, usize, usize),
-        max_batch: usize,
-        isa: KernelIsa,
-    ) -> Self {
         let (mut c, mut h, mut w) = chw;
         let mut zp = net.input_params().zero_point;
         let mut bufs = Bufs::new(c * h * w);
@@ -644,17 +614,10 @@ impl QuantizedProgram {
             .zip(bufs.first.iter().zip(bufs.last.iter()))
             .map(|(&bytes, (&f, &l))| BufferReq::new(bytes, f, l))
             .collect();
-        let unit = Plan::new(net.name(), &steps, &reqs, 1, lowered_len, lowered_u8_len);
-        let batch = (max_batch > 1).then(|| {
-            Plan::new(
-                net.name(),
-                &steps,
-                &reqs,
-                max_batch,
-                lowered_len,
-                lowered_u8_len,
-            )
-        });
+        let name = traced.then_some(net.name());
+        let unit = Plan::new(name, &steps, &reqs, 1, lowered_len, lowered_u8_len);
+        let batch = (max_batch > 1)
+            .then(|| Plan::new(name, &steps, &reqs, max_batch, lowered_len, lowered_u8_len));
         let step_bytes = steps.iter().map(|s| s.io_bytes(&bufs.sizes)).collect();
 
         QuantizedProgram {
@@ -886,8 +849,8 @@ impl QuantizedProgram {
     }
 
     /// Largest batch size [`Self::run_int_batched`] accepts: the
-    /// `max_batch` passed to [`Self::compile_batched`], or 1 for a plain
-    /// [`Self::compile`].
+    /// `max_batch` passed to [`QuantizedNetwork::compile_batched`], or 1
+    /// for a plain [`QuantizedNetwork::compile`].
     pub fn max_batch(&self) -> usize {
         self.batch.as_ref().map_or(1, |p| p.max_batch)
     }
@@ -916,8 +879,9 @@ impl QuantizedProgram {
     /// # Panics
     ///
     /// Panics if `batch == 0`, if `batch > 1` and the program was not
-    /// [`Self::compile_batched`]-compiled with `max_batch >= batch`, or
-    /// if `inputs` is not exactly `batch` input frames.
+    /// [`QuantizedNetwork::compile_batched`]-compiled with
+    /// `max_batch >= batch`, or if `inputs` is not exactly `batch` input
+    /// frames.
     pub fn run_int_batched<'s>(
         &self,
         pool: Pool,
@@ -963,8 +927,8 @@ impl QuantizedProgram {
 
     /// Checks one entry call and picks its plan: the unit plan for a
     /// single frame, so its latency and spans are those of a plain
-    /// [`Self::compile`], and the batch plan above that. Grows `scratch`
-    /// to the program's requirements.
+    /// [`QuantizedNetwork::compile`], and the batch plan above that.
+    /// Grows `scratch` to the program's requirements.
     fn plan_for(&self, scratch: &mut QScratch, input_len: usize, batch: usize) -> &Plan {
         assert!(batch >= 1, "batch must be at least 1");
         let plan = if batch == 1 {
@@ -1353,7 +1317,7 @@ mod tests {
                     (s >> 56) as i8
                 })
                 .collect();
-            let (want, want_shape) = qnet.run_int_with(Pool::serial(), &input, (1, 16, 16));
+            let (want, want_shape) = qnet.run_int(&input, (1, 16, 16));
             for threads in [1, 2, 4] {
                 let (got, got_shape) =
                     program.run_int_prepacked(Pool::new(threads), &mut scratch, &input);
@@ -1364,7 +1328,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_prepacked_matches_forward() {
+    fn forward_prepacked_matches_dequantized_run_int() {
         let mut rng = SmallRng::seed(43);
         let net = mixed_net(&mut rng, 16);
         let calib = calib_batch(&mut rng, 8, 16);
@@ -1373,9 +1337,12 @@ mod tests {
         let mut scratch = QScratch::new();
 
         let frame = calib_batch(&mut rng, 1, 16);
-        let want = qnet.forward_with(Pool::serial(), &frame);
+        let xq = qnet.input_params().quantize_slice(frame.as_slice());
+        let want = qnet
+            .output_params()
+            .dequantize_slice(&qnet.run_int(&xq, (1, 16, 16)).0);
         let got = program.forward_prepacked(Pool::serial(), &mut scratch, frame.as_slice());
-        assert_eq!(got, want.as_slice());
+        assert_eq!(got, &want[..]);
     }
 
     #[test]
@@ -1433,7 +1400,7 @@ mod tests {
         let net = mixed_net(&mut rng, 16);
         let calib = calib_batch(&mut rng, 8, 16);
         let qnet = QuantizedNetwork::quantize(&net, &calib);
-        let program = QuantizedProgram::compile_batched(&qnet, (1, 16, 16), 8);
+        let program = qnet.compile_batched((1, 16, 16), 8);
         assert_eq!(program.max_batch(), 8);
         assert!(program.batched_arena_bytes() >= program.arena_bytes());
         let mut scratch = QScratch::for_program(&program);
@@ -1474,7 +1441,7 @@ mod tests {
         let net = mixed_net(&mut rng, 16);
         let calib = calib_batch(&mut rng, 8, 16);
         let qnet = QuantizedNetwork::quantize(&net, &calib);
-        let program = QuantizedProgram::compile_batched(&qnet, (1, 16, 16), 4);
+        let program = qnet.compile_batched((1, 16, 16), 4);
         let mut scratch = QScratch::for_program(&program);
 
         let frames = calib_batch(&mut rng, 4, 16);
@@ -1546,8 +1513,8 @@ mod tests {
 
         let x16 = vec![7i8; 256];
         let x32 = vec![-3i8; 1024];
-        let (want16, _) = qnet.run_int_with(Pool::serial(), &x16, (1, 16, 16));
-        let (want32, _) = qnet32.run_int_with(Pool::serial(), &x32, (1, 32, 32));
+        let (want16, _) = qnet.run_int(&x16, (1, 16, 16));
+        let (want32, _) = qnet32.run_int(&x32, (1, 32, 32));
         let (got16, _) = p16.run_int_prepacked(Pool::serial(), &mut scratch, &x16);
         assert_eq!(got16, &want16[..]);
         let (got32, _) = p32.run_int_prepacked(Pool::serial(), &mut scratch, &x32);

@@ -1,15 +1,14 @@
 //! Property-based parity suites for the integer kernels.
 //!
-//! The im2col-lowered conv path and the pooled kernels must agree with the
-//! direct reference loops *exactly* — integer arithmetic has no tolerance
-//! to hide behind — across random geometries including stride and padding
-//! edge cases, and across every pool width.
+//! The program's fast kernels — the lowered conv panels in both weight
+//! formats and the depthwise plane kernel — must agree with the direct
+//! reference loops *exactly* (integer arithmetic has no tolerance to hide
+//! behind) across random geometries including stride and padding edge
+//! cases, and across every pool width. Whole random networks are checked
+//! end to end against the scalar oracle [`QuantizedNetwork::run_int`].
 
-use crate::kernels::{
-    qconv2d_reference, qconv2d_with, qdepthwise_conv2d, qdepthwise_conv2d_reference,
-    qdepthwise_conv2d_with, QConvGeometry,
-};
-use crate::lowering::{patch_stride, qgemm_row, u8_lowered_len};
+use crate::kernels::{qconv2d_reference, qdepthwise_conv2d_reference, qdw_plane, QConvGeometry};
+use crate::lowering::{patch_stride, qgemm_row, qim2row_into, qim2row_u8_into, u8_lowered_len};
 use crate::microkernel::{
     fold_offset_bias, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_impl,
     qconv_panels_i8_into, qconv_panels_into, KernelIsa, NR_I8,
@@ -18,8 +17,10 @@ use crate::program::QScratch;
 use crate::qnetwork::QuantizedNetwork;
 use crate::requant::{requantize_to_i8, FixedMultiplier};
 use np_nn::init::{Initializer, SmallRng};
-use np_nn::layers::{Conv2d, DepthwiseConv2d, Flatten, Linear, Relu};
-use np_nn::Sequential;
+use np_nn::layers::{
+    AvgPool2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu,
+};
+use np_nn::{Layer, Sequential};
 use np_tensor::parallel::Pool;
 use np_tensor::shape::conv_out_dim;
 use np_tensor::Tensor;
@@ -52,6 +53,10 @@ fn seeded_f32(tag: &str, seed: u64, n: usize) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// The compiled program's conv step against the direct six-loop
+    /// reference: im2row lowering (i16 and offset-binary u8), filter
+    /// packing and the panel kernel of each weight format, at random
+    /// stride and padding and at several pool widths.
     #[test]
     fn lowered_qconv2d_equals_reference_exactly(
         in_channels in 1usize..4,
@@ -75,45 +80,32 @@ proptest! {
 
         let reference =
             qconv2d_reference(&input, h, w, in_zp, geo, &weight, &bias, &mults, out_zp, relu);
+
+        // The program's conv step, done by hand in both weight formats:
+        // lower the frame, pack the filters, run the panel kernel.
+        let patch = in_channels * kernel * kernel;
+        let (oh, ow) = geo.out_hw(h, w);
+        let cols = oh * ow;
+        let mut low16 = vec![0i16; cols * patch_stride(patch)];
+        qim2row_into(&input, 1, h, w, in_zp, geo, &mut low16);
+        let packed16 = pack_conv_panels(&weight, out_channels, patch);
+        let mut low8 = vec![0u8; u8_lowered_len(cols, patch)];
+        qim2row_u8_into(&input, 1, h, w, in_zp, geo, &mut low8);
+        let packed8 = pack_conv_panels_i8(&weight, out_channels, patch);
+        let folded = fold_offset_bias(&bias, &weight, out_channels, patch, in_zp);
         for threads in [1usize, 2, 8] {
-            let got = qconv2d_with(
+            let mut got16 = vec![0i8; out_channels * cols];
+            qconv_panels_into(
                 Pool::new(threads),
-                &input, h, w, in_zp, geo, &weight, &bias, &mults, out_zp, relu,
+                &packed16, patch, &low16, &bias, &mults, out_zp, relu, 1, &mut got16,
             );
-            prop_assert_eq!(&got, &reference, "threads {}", threads);
-        }
-    }
-
-    #[test]
-    fn qdepthwise_pool_parity_is_exact(
-        channels in 1usize..6,
-        kernel in 1usize..4,
-        stride in 1usize..4,
-        padding in 0usize..3,
-        h in 4usize..10,
-        w in 4usize..10,
-        in_zp in -20i32..20,
-        out_zp in -20i32..20,
-        relu_sel in 0u8..2,
-        seed in 0u64..1_000_000,
-    ) {
-        let relu = relu_sel == 1;
-        let input = seeded_i8("qd-x", seed, channels * h * w);
-        let weight = seeded_i8("qd-w", seed, channels * kernel * kernel);
-        let bias = seeded_bias("qd-b", seed, channels);
-        let mults = seeded_mults("qd-m", seed, channels);
-
-        let serial = qdepthwise_conv2d(
-            &input, h, w, in_zp, channels, kernel, stride, padding,
-            &weight, &bias, &mults, out_zp, relu,
-        );
-        for threads in [2usize, 8] {
-            let got = qdepthwise_conv2d_with(
+            prop_assert_eq!(&got16, &reference, "i16, threads {}", threads);
+            let mut got8 = vec![0i8; out_channels * cols];
+            qconv_panels_i8_into(
                 Pool::new(threads),
-                &input, h, w, in_zp, channels, kernel, stride, padding,
-                &weight, &bias, &mults, out_zp, relu,
+                &packed8, patch, &low8, &folded, &mults, out_zp, relu, 1, &mut got8,
             );
-            prop_assert_eq!(&got, &serial, "threads {}", threads);
+            prop_assert_eq!(&got8, &reference, "i8, threads {}", threads);
         }
     }
 
@@ -276,10 +268,11 @@ proptest! {
         prop_assert_eq!(&got, &want, "forced scalar, zp {}", in_zp);
     }
 
-    /// The depthwise interior/edge fast path against the retained guarded
-    /// reference. Kernel sizes 1..8 hit every const-generic specialization
-    /// (1/3/5/7) and the fallback sizes; small planes with large padding
-    /// produce empty or degenerate interiors.
+    /// The depthwise interior/edge plane kernel the program runs
+    /// (`qdw_plane`, once per channel) against the guarded reference.
+    /// Kernel sizes 1..8 hit every const-generic specialization (1/3/5/7)
+    /// and the fallback sizes; small planes with large padding produce
+    /// empty or degenerate interiors.
     #[test]
     fn depthwise_fast_path_matches_reference_at_ragged_shapes(
         channels in 1usize..7,
@@ -307,29 +300,92 @@ proptest! {
             &input, h, w, in_zp, channels, kernel, stride, padding,
             &weight, &bias, &mults, out_zp, relu,
         );
-        for threads in 1usize..=8 {
-            let got = qdepthwise_conv2d_with(
-                Pool::new(threads),
-                &input, h, w, in_zp, channels, kernel, stride, padding,
-                &weight, &bias, &mults, out_zp, relu,
+        let oh = conv_out_dim(h, kernel, stride, padding);
+        let ow = conv_out_dim(w, kernel, stride, padding);
+        let mut got = vec![0i8; channels * oh * ow];
+        for (c, dst) in got.chunks_mut(oh * ow).enumerate() {
+            qdw_plane(
+                &input[c * h * w..(c + 1) * h * w],
+                h, w, in_zp, kernel, stride, padding,
+                &weight[c * kernel * kernel..(c + 1) * kernel * kernel],
+                bias[c], mults[c], out_zp, relu, dst, oh, ow,
             );
-            prop_assert_eq!(&got, &reference, "threads {}", threads);
         }
+        prop_assert_eq!(&got, &reference);
     }
+}
+
+/// One whole-network case: a random conv → depthwise → pointwise → pool
+/// stage → linear network for `side × side` single-channel inputs,
+/// quantized on seeded frames, plus 8 seeded input frames and the scalar
+/// oracle's output for each, concatenated. `pool_sel` draws the pool
+/// stage after the pointwise conv (0: none, 1: 2×2/2 `MaxPool2d`, 2:
+/// 2×2/2 `AvgPool2d`) and `gap` puts a `GlobalAvgPool` before the head,
+/// so the program's pool loops meet ragged channel counts and odd planes.
+#[allow(clippy::too_many_arguments)]
+fn random_case(
+    tag: &str,
+    c1: usize,
+    c2: usize,
+    kernel: usize,
+    stride: usize,
+    side: usize,
+    pool_sel: usize,
+    gap: bool,
+    seed: u64,
+) -> (QuantizedNetwork, Vec<i8>, Vec<i8>) {
+    let mut rng = SmallRng::seed(seed);
+    let k = Initializer::KaimingUniform;
+    let mut oh = conv_out_dim(side, kernel, stride, 1);
+    let mut layers: Vec<Box<dyn Layer>> = vec![
+        Box::new(Conv2d::new(1, c1, kernel, stride, 1, k, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(DepthwiseConv2d::new(c1, 3, 1, 1, k, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(Conv2d::new(c1, c2, 1, 1, 0, k, &mut rng)),
+        Box::new(Relu::new()),
+    ];
+    match pool_sel {
+        1 => layers.push(Box::new(MaxPool2d::new(2, 2))),
+        2 => layers.push(Box::new(AvgPool2d::new(2, 2))),
+        _ => {}
+    }
+    if pool_sel != 0 {
+        oh = (oh - 2) / 2 + 1;
+    }
+    if gap {
+        layers.push(Box::new(GlobalAvgPool::new()));
+        oh = 1;
+    }
+    layers.push(Box::new(Flatten::new()));
+    layers.push(Box::new(Linear::new(c2 * oh * oh, 4, k, &mut rng)));
+
+    let frame_len = side * side;
+    let calib = seeded_f32(&format!("{tag}-c"), seed, 3 * frame_len);
+    let qnet = QuantizedNetwork::quantize(
+        &Sequential::with_name(tag, layers),
+        &Tensor::from_vec(&[3, 1, side, side], calib),
+    );
+    let inputs = seeded_i8(&format!("{tag}-x"), seed, 8 * frame_len);
+    let oracle = inputs
+        .chunks_exact(frame_len)
+        .flat_map(|frame| qnet.run_int(frame, (1, side, side)).0)
+        .collect();
+    (qnet, inputs, oracle)
 }
 
 proptest! {
     // Whole-network cases are heavier than single-kernel ones (quantize +
-    // compile per case), so fewer draws — the inner loops still cover
-    // B ∈ {1, 2, 3, 8} × threads 1..=8 each time.
+    // compile + scalar oracle per case), so fewer draws — the inner loops
+    // still cover several batch sizes × threads 1..=8 each time.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// `run_int_batched` against B independent `run_int_prepacked` calls
-    /// on a randomly-shaped conv/depthwise/pointwise/linear network. The
-    /// drawn channel counts are deliberately allowed to be ragged against
-    /// the microkernel panel height, and the drawn spatial sizes make the
-    /// per-frame pixel count odd, so NR tiles straddle frame boundaries
-    /// in the batched sweep.
+    /// and against the scalar oracle `run_int`, frame by frame, on a
+    /// random conv/depthwise/pointwise/pool/linear network. The drawn
+    /// channel counts are deliberately allowed to be ragged against the
+    /// microkernel panel height, and the drawn spatial sizes make the
+    /// per-frame pixel count odd.
     #[test]
     fn run_int_batched_equals_independent_prepacked_runs(
         c1 in 1usize..6,
@@ -337,33 +393,16 @@ proptest! {
         kernel in 1usize..4,
         stride in 1usize..3,
         side in 8usize..13,
+        pool_sel in 0usize..3,
+        gap_sel in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
-        let mut rng = SmallRng::seed(seed ^ 0xB47C);
-        let k = Initializer::KaimingUniform;
-        let oh = conv_out_dim(side, kernel, stride, 1);
-        let net = Sequential::with_name(
-            "batched-prop",
-            vec![
-                Box::new(Conv2d::new(1, c1, kernel, stride, 1, k, &mut rng)),
-                Box::new(Relu::new()),
-                Box::new(DepthwiseConv2d::new(c1, 3, 1, 1, k, &mut rng)),
-                Box::new(Relu::new()),
-                Box::new(Conv2d::new(c1, c2, 1, 1, 0, k, &mut rng)),
-                Box::new(Relu::new()),
-                Box::new(Flatten::new()),
-                Box::new(Linear::new(c2 * oh * oh, 4, k, &mut rng)),
-            ],
+        let (qnet, inputs, oracle) = random_case(
+            "batched-prop", c1, c2, kernel, stride, side, pool_sel, gap_sel == 1, seed,
         );
         let frame_len = side * side;
-        let calib = Tensor::from_vec(
-            &[3, 1, side, side],
-            seeded_f32("bt-c", seed, 3 * frame_len),
-        );
-        let qnet = QuantizedNetwork::quantize(&net, &calib);
         let program = qnet.compile_batched((1, side, side), 8);
         let mut scratch = QScratch::for_program(&program);
-        let inputs = seeded_i8("bt-x", seed, 8 * frame_len);
 
         for batch in [1usize, 2, 3, 8] {
             let mut want = Vec::new();
@@ -375,6 +414,7 @@ proptest! {
                 );
                 want.extend_from_slice(out);
             }
+            prop_assert_eq!(&want[..], &oracle[..want.len()], "prepacked vs oracle, batch {}", batch);
             for threads in 1usize..=8 {
                 let (got, _) = program.run_int_batched(
                     Pool::new(threads),
@@ -388,11 +428,11 @@ proptest! {
     }
 
     /// A whole network compiled to the raw-i8 format against the same
-    /// network compiled to the scalar-i16 format: bit-identical outputs
-    /// across B ∈ {1, 2, 8} and threads 1..=8, with the i8 program's
-    /// packed weights strictly smaller. This pins the full stack — u8
-    /// lowering, folded bias, arena planning, batched layout — not just
-    /// the kernel.
+    /// network compiled to the scalar-i16 format and against the scalar
+    /// oracle `run_int`: bit-identical outputs across B ∈ {1, 2, 8} and
+    /// threads 1..=8, with the i8 program's packed weights strictly
+    /// smaller. This pins the full stack — u8 lowering, folded bias,
+    /// arena planning, pool steps, batched layout — not just the kernel.
     #[test]
     fn i8_program_equals_scalar_i16_program_across_batches(
         c1 in 1usize..6,
@@ -400,35 +440,18 @@ proptest! {
         kernel in 1usize..4,
         stride in 1usize..3,
         side in 8usize..13,
+        pool_sel in 0usize..3,
+        gap_sel in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
-        let mut rng = SmallRng::seed(seed ^ 0x18A8);
-        let k = Initializer::KaimingUniform;
-        let oh = conv_out_dim(side, kernel, stride, 1);
-        let net = Sequential::with_name(
-            "isa-prop",
-            vec![
-                Box::new(Conv2d::new(1, c1, kernel, stride, 1, k, &mut rng)),
-                Box::new(Relu::new()),
-                Box::new(DepthwiseConv2d::new(c1, 3, 1, 1, k, &mut rng)),
-                Box::new(Relu::new()),
-                Box::new(Conv2d::new(c1, c2, 1, 1, 0, k, &mut rng)),
-                Box::new(Relu::new()),
-                Box::new(Flatten::new()),
-                Box::new(Linear::new(c2 * oh * oh, 4, k, &mut rng)),
-            ],
+        let (qnet, inputs, oracle) = random_case(
+            "isa-prop", c1, c2, kernel, stride, side, pool_sel, gap_sel == 1, seed,
         );
         let frame_len = side * side;
-        let calib = Tensor::from_vec(
-            &[3, 1, side, side],
-            seeded_f32("ic-c", seed, 3 * frame_len),
-        );
-        let qnet = QuantizedNetwork::quantize(&net, &calib);
         let p16 = qnet.compile_batched_for_isa((1, side, side), 8, KernelIsa::ScalarI16);
         let p8 = qnet.compile_batched_for_isa((1, side, side), 8, KernelIsa::Avx2I8);
         prop_assert!(p8.packed_weight_bytes() < p16.packed_weight_bytes());
         let mut scratch = QScratch::for_programs(&[&p16, &p8]);
-        let inputs = seeded_i8("ip-x", seed, 8 * frame_len);
 
         for batch in [1usize, 2, 8] {
             let want = {
@@ -437,6 +460,7 @@ proptest! {
                 );
                 out.to_vec()
             };
+            prop_assert_eq!(&want[..], &oracle[..want.len()], "i16 vs oracle, batch {}", batch);
             for threads in 1usize..=8 {
                 let (got, _) = p8.run_int_batched(
                     Pool::new(threads), &mut scratch, &inputs[..batch * frame_len], batch,

@@ -3,8 +3,11 @@
 use crate::calibrate::calibrate;
 use crate::fold::fold_batchnorm;
 use crate::kernels::{
-    qavg_pool2d, qconv2d_with, qdepthwise_conv2d_with, qlinear, qmax_pool2d, QConvGeometry,
+    qavg_pool2d, qconv2d_reference, qdepthwise_conv2d_reference, qlinear, qmax_pool2d,
+    QConvGeometry,
 };
+use crate::microkernel::{kernel_isa, KernelIsa};
+use crate::program::{QScratch, QuantizedProgram};
 use crate::qparams::QuantParams;
 use crate::requant::FixedMultiplier;
 use np_nn::layers::{
@@ -68,7 +71,6 @@ pub struct QuantizedNetwork {
     input_params: QuantParams,
     output_params: QuantParams,
     layers: Vec<QLayer>,
-    input_chw: Option<(usize, usize, usize)>,
 }
 
 impl QuantizedNetwork {
@@ -187,7 +189,6 @@ impl QuantizedNetwork {
             input_params: ranges.input,
             output_params: in_params,
             layers: qlayers,
-            input_chw: None,
         }
     }
 
@@ -202,39 +203,36 @@ impl QuantizedNetwork {
     }
 
     /// Compiles this network for a fixed input shape into a
-    /// [`crate::QuantizedProgram`]: weights pre-packed into im2col-ready
-    /// panels, linear biases zero-point-folded, and every intermediate
-    /// assigned a static offset in one planned arena. The program's
-    /// [`run_int_prepacked`](crate::QuantizedProgram::run_int_prepacked)
+    /// [`QuantizedProgram`]: weights pre-packed into im2col-ready panels
+    /// in the process-wide [`kernel_isa`] format, linear biases
+    /// zero-point-folded, and every intermediate assigned a static offset
+    /// in one planned arena. The program's
+    /// [`run_int_prepacked`](QuantizedProgram::run_int_prepacked)
     /// produces bit-identical outputs to [`Self::run_int`] without
     /// allocating.
-    pub fn compile(&self, chw: (usize, usize, usize)) -> crate::program::QuantizedProgram {
-        crate::program::QuantizedProgram::compile(self, chw)
+    pub fn compile(&self, chw: (usize, usize, usize)) -> QuantizedProgram {
+        QuantizedProgram::compile_with(self, chw, 1, kernel_isa(), true)
     }
 
     /// [`Self::compile`] plus a cross-frame batch plan: the program also
-    /// accepts up to `max_batch` frames per
-    /// [`run_int_batched`](crate::QuantizedProgram::run_int_batched)
-    /// call, amortizing packed-weight traffic across the batch. The
-    /// per-frame entries are unchanged.
+    /// accepts up to `max_batch` (at least 1) frames per
+    /// [`run_int_batched`](QuantizedProgram::run_int_batched) call,
+    /// amortizing packed-weight traffic across the batch. The per-frame
+    /// entries are unchanged.
     pub fn compile_batched(
         &self,
         chw: (usize, usize, usize),
         max_batch: usize,
-    ) -> crate::program::QuantizedProgram {
-        crate::program::QuantizedProgram::compile_batched(self, chw, max_batch)
+    ) -> QuantizedProgram {
+        QuantizedProgram::compile_with(self, chw, max_batch, kernel_isa(), true)
     }
 
     /// [`Self::compile`] with an explicit kernel isa (weight format)
-    /// instead of the process-wide [`crate::microkernel::kernel_isa`]
-    /// default — lets callers pin the i16 and raw-i8 conv formats side
-    /// by side in one process.
-    pub fn compile_for_isa(
-        &self,
-        chw: (usize, usize, usize),
-        isa: crate::microkernel::KernelIsa,
-    ) -> crate::program::QuantizedProgram {
-        crate::program::QuantizedProgram::compile_for_isa(self, chw, isa)
+    /// instead of the process-wide [`kernel_isa`] default — lets tests
+    /// and benchmarks pin the i16 and raw-i8 conv formats side by side in
+    /// one process regardless of `NP_ISA`.
+    pub fn compile_for_isa(&self, chw: (usize, usize, usize), isa: KernelIsa) -> QuantizedProgram {
+        QuantizedProgram::compile_with(self, chw, 1, isa, true)
     }
 
     /// [`Self::compile_batched`] with an explicit kernel isa; see
@@ -243,33 +241,18 @@ impl QuantizedNetwork {
         &self,
         chw: (usize, usize, usize),
         max_batch: usize,
-        isa: crate::microkernel::KernelIsa,
-    ) -> crate::program::QuantizedProgram {
-        crate::program::QuantizedProgram::compile_batched_for_isa(self, chw, max_batch, isa)
+        isa: KernelIsa,
+    ) -> QuantizedProgram {
+        QuantizedProgram::compile_with(self, chw, max_batch, isa, true)
     }
 
     /// [`Self::compile`] wrapped in an [`std::sync::Arc`] so many
     /// sessions (or threads) can execute the same packed weights without
     /// copying them. A `QuantizedProgram` holds no interior mutability —
-    /// all per-run state lives in the caller's
-    /// [`QScratch`](crate::QScratch) — so sharing one immutably is safe
-    /// by construction.
-    pub fn compile_shared(
-        &self,
-        chw: (usize, usize, usize),
-    ) -> std::sync::Arc<crate::program::QuantizedProgram> {
+    /// all per-run state lives in the caller's [`QScratch`] — so sharing
+    /// one immutably is safe by construction.
+    pub fn compile_shared(&self, chw: (usize, usize, usize)) -> std::sync::Arc<QuantizedProgram> {
         std::sync::Arc::new(self.compile(chw))
-    }
-
-    /// [`Self::compile_batched`] wrapped in an [`std::sync::Arc`]: one set
-    /// of packed weights serving both per-frame calls and cross-session
-    /// micro-batches of up to `max_batch` frames.
-    pub fn compile_batched_shared(
-        &self,
-        chw: (usize, usize, usize),
-        max_batch: usize,
-    ) -> std::sync::Arc<crate::program::QuantizedProgram> {
-        std::sync::Arc::new(self.compile_batched(chw, max_batch))
     }
 
     /// Quantization parameters of the network input.
@@ -308,54 +291,58 @@ impl QuantizedNetwork {
 
     /// [`Self::forward`] on an explicit execution context.
     ///
-    /// Batches of more than one image run batch-parallel with serial layer
-    /// kernels per image; a single image runs its layer kernels on `pool`.
-    /// Integer arithmetic is exact, so the result is independent of the
-    /// partition either way.
+    /// Compiles a program for the input's `(c, h, w)` once per call and
+    /// runs every image through its
+    /// [`forward_prepacked`](QuantizedProgram::forward_prepacked).
+    /// A single image runs its kernels on `pool`; several images run
+    /// chunk-parallel with serial kernels and one [`QScratch`] per chunk,
+    /// so memory does not grow with the image count. Integer arithmetic
+    /// is exact, so the result is independent of the partition either
+    /// way. The per-call program registers no np-trace spans, so calling
+    /// this in a loop does not grow a traced process's span registry (and
+    /// its frames are not in trace reports).
     pub fn forward_with(&self, pool: Pool, input: &Tensor) -> Tensor {
         let d = input.shape();
         assert_eq!(d.len(), 4, "expected NCHW input");
         let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
         let per = c * h * w;
-        let item = |bi: usize, item_pool: Pool| -> Vec<f32> {
-            let xq = self
-                .input_params
-                .quantize_slice(&input.as_slice()[bi * per..(bi + 1) * per]);
-            let (yq, _) = self.run_int_with(item_pool, &xq, (c, h, w));
-            self.output_params.dequantize_slice(&yq)
+        let program = QuantizedProgram::compile_with(self, (c, h, w), 1, kernel_isa(), false);
+        let out_dim = program.output_len();
+        let mut out = vec![0.0f32; n * out_dim];
+        // Fills `rows`, the outputs of the images from `first` on.
+        let run = |item_pool: Pool, first: usize, rows: &mut [f32]| {
+            let mut scratch = QScratch::for_program(&program);
+            let frames = input.as_slice()[first * per..].chunks_exact(per);
+            for (row, frame) in rows.chunks_mut(out_dim).zip(frames) {
+                row.copy_from_slice(program.forward_prepacked(item_pool, &mut scratch, frame));
+            }
         };
-        let rows: Vec<Vec<f32>> = if n > 1 {
-            pool.map(n, |bi| item(bi, Pool::serial()))
+        if n > 1 {
+            let chunk_len = pool.chunk_len_for(n, out_dim);
+            pool.for_each_chunk(&mut out, chunk_len, |idx, rows| {
+                run(Pool::serial(), idx * chunk_len / out_dim, rows)
+            });
         } else {
-            (0..n).map(|bi| item(bi, pool)).collect()
-        };
-        let out_dim = rows.first().map_or(0, Vec::len);
-        let mut flat = Vec::with_capacity(n * out_dim);
-        for r in rows {
-            flat.extend(r);
+            run(pool, 0, &mut out);
         }
-        Tensor::from_vec(&[n, out_dim], flat)
+        Tensor::from_vec(&[n, out_dim], out)
     }
 
     /// Runs the integer pipeline on an already-quantized CHW image,
-    /// returning the raw i8 outputs and their shape. Runs on the global
-    /// pool.
+    /// returning the raw i8 outputs and their shape.
+    ///
+    /// This is the scalar oracle the compiled programs are checked
+    /// against: serial, one fresh `Vec` per layer, and built only from
+    /// the reference kernels ([`qconv2d_reference`],
+    /// [`qdepthwise_conv2d_reference`], [`qlinear`], [`qmax_pool2d`],
+    /// [`qavg_pool2d`]) plus the inline global-average-pool, ReLU and
+    /// flatten arms below. It shares no kernel with [`QuantizedProgram`],
+    /// so a fast-path bug cannot hide in both.
     pub fn run_int(
         &self,
         input: &[i8],
         chw: (usize, usize, usize),
     ) -> (Vec<i8>, (usize, usize, usize)) {
-        self.run_int_with(Pool::global(), input, chw)
-    }
-
-    /// [`Self::run_int`] on an explicit execution context.
-    pub fn run_int_with(
-        &self,
-        pool: Pool,
-        input: &[i8],
-        chw: (usize, usize, usize),
-    ) -> (Vec<i8>, (usize, usize, usize)) {
-        let _ = self.input_chw; // reserved for shape validation hooks
         let (mut c, mut h, mut w) = chw;
         let mut x = input.to_vec();
         let mut zp = self.input_params.zero_point;
@@ -369,8 +356,7 @@ impl QuantizedNetwork {
                     out,
                     relu,
                 } => {
-                    x = qconv2d_with(
-                        pool,
+                    x = qconv2d_reference(
                         &x,
                         h,
                         w,
@@ -399,8 +385,7 @@ impl QuantizedNetwork {
                     out,
                     relu,
                 } => {
-                    x = qdepthwise_conv2d_with(
-                        pool,
+                    x = qdepthwise_conv2d_reference(
                         &x,
                         h,
                         w,
@@ -485,12 +470,6 @@ impl QuantizedNetwork {
             }
         }
         (x, (c, h, w))
-    }
-
-    /// Cost of one inference in total MAC-equivalent integer ops; useful
-    /// for quick sanity checks against [`np_nn::NetworkDesc::macs`].
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
     }
 
     /// The kind sequence of the lowered network (for tests/debugging).
@@ -623,6 +602,33 @@ mod tests {
         // conv1: 4*9 w + 4 b; conv2: 8*4*9 w + 8 b; linear: 4*128 w + 4 b
         let expect = (4 * 9 + 8 * 4 * 9 + 4 * 128) + 4 * (4 + 8 + 4);
         assert_eq!(qnet.weight_bytes(), expect);
+    }
+
+    #[test]
+    fn forward_with_equals_dequantized_run_int_per_image() {
+        let mut rng = SmallRng::seed(14);
+        let net = frontnet_like(&mut rng);
+        let calib = calib_batch(&mut rng, 4);
+        let qnet = QuantizedNetwork::quantize(&net, &calib);
+        let x = calib_batch(&mut rng, 5);
+        let per = 16 * 16;
+        let want: Vec<f32> = x
+            .as_slice()
+            .chunks_exact(per)
+            .flat_map(|img| {
+                let (yq, _) = qnet.run_int(&qnet.input_params().quantize_slice(img), (1, 16, 16));
+                qnet.output_params().dequantize_slice(&yq)
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            let got = qnet.forward_with(Pool::new(threads), &x);
+            assert_eq!(got.shape(), &[5, 4]);
+            assert_eq!(got.as_slice(), &want[..], "{threads} threads");
+            // A single image takes the kernels-on-`pool` path.
+            let one = Tensor::from_vec(&[1, 1, 16, 16], x.as_slice()[..per].to_vec());
+            let got = qnet.forward_with(Pool::new(threads), &one);
+            assert_eq!(got.as_slice(), &want[..4], "one image, {threads} threads");
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl ServingEnsemble {
         assert!(max_coalesce >= 1, "max_coalesce must be at least 1");
         Self::from_programs(
             little.compile_shared(chw),
-            big.compile_batched_shared(chw, max_coalesce),
+            Arc::new(big.compile_batched(chw, max_coalesce)),
         )
     }
 

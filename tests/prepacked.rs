@@ -1,7 +1,7 @@
 //! Exact-parity checks between the plan-once/run-many compiled programs
-//! and the reference per-call execution paths, on the real paper networks
-//! (proxy resolution). Integer arithmetic must be *bitwise* identical on
-//! any thread count.
+//! and the scalar oracle `QuantizedNetwork::run_int`, on the real paper
+//! networks (proxy resolution). Integer arithmetic must be *bitwise*
+//! identical on any thread count.
 
 use nanopose::nn::init::{Initializer, SmallRng};
 use nanopose::nn::layers::{BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, Linear, Relu};
@@ -24,6 +24,12 @@ fn frames(n: usize, seed: u64) -> Tensor {
         })
         .collect();
     Tensor::from_vec(&[n, c, h, w], data)
+}
+
+/// The scalar oracle on float frames: quantize, `run_int`, dequantize.
+fn oracle_forward(qnet: &QuantizedNetwork, frame: &[f32]) -> Vec<f32> {
+    let (yq, _) = qnet.run_int(&qnet.input_params().quantize_slice(frame), PROXY_INPUT);
+    qnet.output_params().dequantize_slice(&yq)
 }
 
 /// A depthwise-heavy MobileNet-ish network at proxy resolution whose
@@ -69,7 +75,7 @@ fn run_int_prepacked_is_bitwise_equal_on_zoo_networks() {
         for frame_seed in [1u64, 2, 3] {
             let frame = frames(1, frame_seed);
             let q = qnet.input_params().quantize_slice(frame.as_slice());
-            let (want, want_shape) = qnet.run_int_with(Pool::serial(), &q, PROXY_INPUT);
+            let (want, want_shape) = qnet.run_int(&q, PROXY_INPUT);
             for threads in THREADS {
                 let pool = Pool::new(threads);
                 let (got, got_shape) = program.run_int_prepacked(pool, &mut scratch, &q);
@@ -94,18 +100,13 @@ fn run_int_batched_is_bitwise_equal_on_zoo_networks() {
 
         let stream = frames(8, 4);
         let q = qnet.input_params().quantize_slice(stream.as_slice());
+        // Reference: the scalar oracle, frame by frame.
+        let oracle: Vec<i8> = q
+            .chunks_exact(frame_len)
+            .flat_map(|frame| qnet.run_int(frame, PROXY_INPUT).0)
+            .collect();
         for batch in [1usize, 3, 8] {
-            // Reference: B independent per-frame prepacked runs (already
-            // pinned against run_int by the sibling test above).
-            let mut want = Vec::new();
-            for b in 0..batch {
-                let (out, _) = program.run_int_prepacked(
-                    Pool::serial(),
-                    &mut scratch,
-                    &q[b * frame_len..(b + 1) * frame_len],
-                );
-                want.extend_from_slice(out);
-            }
+            let want = &oracle[..batch * program.output_len()];
             for threads in THREADS {
                 let (got, shape) = program.run_int_batched(
                     Pool::new(threads),
@@ -114,7 +115,7 @@ fn run_int_batched_is_bitwise_equal_on_zoo_networks() {
                     batch,
                 );
                 assert_eq!(shape, program.output_chw(), "{} shape", id.name());
-                assert_eq!(got, &want[..], "{} b={batch} t={threads}", id.name());
+                assert_eq!(got, want, "{} b={batch} t={threads}", id.name());
             }
         }
     }
@@ -131,10 +132,10 @@ fn forward_prepacked_is_bitwise_equal_on_zoo_networks() {
         let mut scratch = QScratch::for_program(&program);
 
         let frame = frames(1, 6);
-        let want = qnet.forward_with(Pool::serial(), &frame);
+        let want = oracle_forward(&qnet, frame.as_slice());
         for threads in THREADS {
             let got = program.forward_prepacked(Pool::new(threads), &mut scratch, frame.as_slice());
-            assert_eq!(got, want.as_slice(), "{} t={threads}", id.name());
+            assert_eq!(got, &want[..], "{} t={threads}", id.name());
         }
     }
 }
@@ -153,15 +154,15 @@ fn prepacked_is_bitwise_equal_on_dw_heavy_ragged_network() {
     for frame_seed in [11u64, 12, 13] {
         let frame = frames(1, frame_seed);
         let q = qnet.input_params().quantize_slice(frame.as_slice());
-        let (want, want_shape) = qnet.run_int_with(Pool::serial(), &q, PROXY_INPUT);
-        let want_f = qnet.forward_with(Pool::serial(), &frame);
+        let (want, want_shape) = qnet.run_int(&q, PROXY_INPUT);
+        let want_f = oracle_forward(&qnet, frame.as_slice());
         for threads in THREADS {
             let pool = Pool::new(threads);
             let (got, got_shape) = program.run_int_prepacked(pool, &mut scratch, &q);
             assert_eq!(got_shape, want_shape, "dw-heavy shape");
             assert_eq!(got, want.as_slice(), "dw-heavy int t={threads}");
             let got_f = program.forward_prepacked(pool, &mut scratch, frame.as_slice());
-            assert_eq!(got_f, want_f.as_slice(), "dw-heavy float t={threads}");
+            assert_eq!(got_f, &want_f[..], "dw-heavy float t={threads}");
         }
     }
 }

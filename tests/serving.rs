@@ -5,9 +5,10 @@
 //! *results*, and cross-session escalation coalescing must be invisible
 //! in the outputs.
 //!
-//! Two angles:
+//! Three angles:
 //! - the paper's D1 = (F1, M1.0) and D2 = (F2, M1.0) ensembles on the
 //!   proxy input, across pool widths 1–8;
+//! - frames a full queue refuses, which must never reach the OP policy;
 //! - a property test over ragged channel counts / kernel geometry (every
 //!   pointwise conv ends on a partial microkernel panel) and random
 //!   thresholds, so the escalation mix — and therefore the coalescing
@@ -128,6 +129,71 @@ fn paper_ensembles_served_bit_exact_across_pool_widths() {
             assert_eq!(got, want, "{name} diverged at {threads} threads");
         }
     }
+}
+
+/// The OP policy on dropped frames: with one queue slot, the second of
+/// two submits per session per tick is refused, and a refused frame must
+/// never reach the session's policy. So each session's results equal an
+/// isolated runner fed only the accepted frames, in order. Every stream
+/// frame is accepted twice in a row (the repeat scores 0, so both
+/// decisions occur) and every refused frame is one intruder frame, which
+/// moves the policy if it leaks.
+#[test]
+fn dropped_frames_never_reach_the_op_policy() {
+    let calib = frames(4, 7, PROXY_INPUT);
+    let mut rng = SmallRng::seed(23);
+    let f1 = QuantizedNetwork::quantize(&ModelId::F1.build_proxy(&mut rng), &calib);
+    let m10 = QuantizedNetwork::quantize(&ModelId::M10.build_proxy(&mut rng), &calib);
+    let ens = ServingEnsemble::compile(&f1, &m10, PROXY_INPUT, 2);
+    let fl = PROXY_INPUT.0 * PROXY_INPUT.1 * PROXY_INPUT.2;
+    let (n_sessions, n_ticks, th) = (3, 6, 0.01);
+    let streams: Vec<Tensor> = (0..n_sessions)
+        .map(|s| frames(n_ticks / 2, 60 + s as u64, PROXY_INPUT))
+        .collect();
+    let intruder = frames(1, 99, PROXY_INPUT);
+    let accepted = |s: usize, t: usize| &streams[s].as_slice()[(t / 2) * fl..(t / 2 + 1) * fl];
+
+    let config = ServeConfig {
+        max_sessions: n_sessions,
+        queue_capacity: 1,
+    };
+    let mut server = Server::new(&ens, Pool::serial(), config);
+    let ids: Vec<SessionId> = (0..n_sessions).map(|_| server.admit(th).unwrap()).collect();
+    let mut got: Vec<Vec<FrameResult>> = vec![Vec::new(); n_sessions];
+    for t in 0..n_ticks {
+        for (s, &id) in ids.iter().enumerate() {
+            assert!(server.submit(id, accepted(s, t), t as u64), "s{s} t{t}");
+            assert!(
+                !server.submit(id, intruder.as_slice(), t as u64),
+                "s{s} t{t} full"
+            );
+        }
+        for sv in server.serve(t as u64) {
+            got[sv.session.index()].push(sv.result);
+        }
+    }
+
+    // Replays session `s` through an isolated runner; with `leak`, the
+    // runner also sees the refused frames, which must change some result.
+    let replay = |s: usize, leak: bool| -> Vec<FrameResult> {
+        let mut runner = server.isolated_runner(th);
+        (0..n_ticks)
+            .map(|t| {
+                let r = runner.run_frame(accepted(s, t));
+                if leak {
+                    runner.run_frame(intruder.as_slice());
+                }
+                r
+            })
+            .collect()
+    };
+    for (s, results) in got.iter().enumerate() {
+        assert_eq!(results, &replay(s, false), "session {s}");
+    }
+    assert!(
+        (0..n_sessions).any(|s| replay(s, true) != got[s]),
+        "intruders must move the policy"
+    );
 }
 
 fn conv_out_dim(side: usize, kernel: usize, stride: usize, pad: usize) -> usize {
