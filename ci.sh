@@ -25,6 +25,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (workspace, warnings are errors: broken intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> tier-1: cargo build --release && cargo test -q (every workspace crate)"
 cargo build --release
 cargo test -q --workspace
@@ -53,6 +56,7 @@ echo "==> kernel exactness proptests (release: optimizer must not change results
 test_named "cargo test -q --release -p np-quant" \
     microkernel_matches_qgemm_row_at_ragged_shapes \
     depthwise_fast_path_matches_reference_at_ragged_shapes \
+    pool_planes_match_reference_at_ragged_shapes \
     lowered_qconv2d_equals_reference_exactly
 
 echo "==> raw-i8 kernel exactness proptests (release)"
@@ -73,6 +77,7 @@ echo "==> forced-scalar leg: NP_ISA pins the portable kernel bodies"
 test_named "env NP_ISA=scalar cargo test -q --release -p np-quant" \
     microkernel_matches_qgemm_row_at_ragged_shapes \
     depthwise_fast_path_matches_reference_at_ragged_shapes \
+    pool_planes_match_reference_at_ragged_shapes \
     i8_microkernel_matches_i16_reference_at_adversarial_corners \
     batched_microkernel_equals_per_frame_runs \
     i8_program_equals_scalar_i16_program_across_batches \

@@ -20,7 +20,7 @@
 //! machine and the benchmarks report best-of-N times.
 //!
 //! Usage:
-//!   bench_compare [--strict] <baseline.json> <fresh.json> [<baseline2> <fresh2> ...]
+//! `bench_compare [--strict] <baseline.json> <fresh.json> [<baseline2> <fresh2> ...]`
 
 use std::collections::BTreeMap;
 

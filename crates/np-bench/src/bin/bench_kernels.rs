@@ -1,11 +1,13 @@
 //! Kernel micro-benchmark harness emitting `BENCH_kernels.json`.
 //!
-//! Two questions, answered with wall time and effective MAC/s:
+//! Three questions, answered with wall time and effective MAC/s:
 //!
 //! 1. Does the im2col-lowered int8 conv beat the direct loop nest at the
 //!    dominant layer shape of every paper network (F1, F2, M1.0)?
 //! 2. How does the row-chunked float GEMM scale across pool widths
 //!    (`NP_THREADS`-style 1/2/4)?
+//! 3. How fast do the compiled program's depthwise and pooling steps run
+//!    at the M1.0 and F1 proxy shapes that dominate their profiles?
 //!
 //! Numbers are measured on the machine that runs the binary. On a
 //! single-core container the threaded rows report the scheduling-overhead
@@ -15,6 +17,9 @@
 //! Usage: `cargo run --release -p np-bench --bin bench_kernels [out.json]`
 
 use np_bench::{best_ns_interleaved, lowered_qconv};
+use np_nn::init::{Initializer, SmallRng};
+use np_nn::layers::{DepthwiseConv2d, MaxPool2d};
+use np_nn::{Layer, Sequential};
 use np_quant::kernels::{qconv2d_reference, QConvGeometry};
 use np_quant::lowering::{patch_stride, u8_lowered_len};
 use np_quant::microkernel::{
@@ -22,8 +27,10 @@ use np_quant::microkernel::{
     qconv_panels_into, KernelIsa, NR_I8,
 };
 use np_quant::requant::FixedMultiplier;
+use np_quant::{QScratch, QuantizedNetwork, QuantizedProgram};
 use np_tensor::matmul::matmul_acc_with;
 use np_tensor::parallel::Pool;
+use np_tensor::Tensor;
 use std::fmt::Write as _;
 use std::hint::black_box;
 
@@ -85,6 +92,59 @@ const BATCH_SHAPES: [(&str, usize, usize, usize); 4] = [
     ("M1.0_head_gemv", 4, 900, 1),
     ("M1.0_deploy_tail_pw", 1024, 1024, 15),
 ];
+
+/// A single-step program at one of the 48×80 proxy shapes that dominate
+/// the depthwise and pooling profiles, its input, and its MACs (window
+/// elements for a pool, as `StepWorkload` counts them).
+struct StepBench {
+    label: &'static str,
+    program: QuantizedProgram,
+    scratch: QScratch,
+    input: Vec<i8>,
+    macs: u64,
+}
+
+impl StepBench {
+    fn new(label: &'static str, layer: Box<dyn Layer>, (c, h, w): (usize, usize, usize)) -> Self {
+        let net = Sequential::with_name(label, vec![layer]);
+        let calib = Tensor::from_vec(&[2, c, h, w], pseudo_f32(2 * c * h * w, 41));
+        let program = QuantizedNetwork::quantize(&net, &calib).compile((c, h, w));
+        let macs = program.step_workloads().iter().map(|s| s.macs).sum();
+        StepBench {
+            label,
+            scratch: QScratch::for_program(&program),
+            program,
+            input: pseudo_i8(c * h * w, 42),
+            macs,
+        }
+    }
+}
+
+/// M1.0 depthwise steps 01 (24×40×24, s1), 03 (24×40×32, s2) and 13
+/// (3×5×60, s1), and F1's 2×2/s2 stem max-pool (24×40×32).
+fn step_benches() -> Vec<StepBench> {
+    let mut rng = SmallRng::seed(31);
+    let mut dw = |c: usize, s: usize| -> Box<dyn Layer> {
+        Box::new(DepthwiseConv2d::new(
+            c,
+            3,
+            s,
+            1,
+            Initializer::KaimingUniform,
+            &mut rng,
+        ))
+    };
+    vec![
+        StepBench::new("M1.0_dw01_24x40x24_s1", dw(24, 1), (24, 24, 40)),
+        StepBench::new("M1.0_dw03_24x40x32_s2", dw(32, 2), (32, 24, 40)),
+        StepBench::new("M1.0_dw13_3x5x60_s1", dw(60, 1), (60, 3, 5)),
+        StepBench::new(
+            "F1_maxpool_24x40x32_2x2s2",
+            Box::new(MaxPool2d::new(2, 2)),
+            (32, 24, 40),
+        ),
+    ]
+}
 
 /// Frames processed per measurement in the batch sweep; every batch size
 /// divides it so each row does the same total work.
@@ -474,6 +534,33 @@ fn main() {
              \"cols_per_frame\": {cols}, \"frames\": {BATCH_FRAMES}, \
              \"frame_macs\": {frame_macs}, \"by_batch\": [\n{rows}    ]}}{}",
             if i + 1 < BATCH_SHAPES.len() { "," } else { "" },
+        );
+    }
+    json.push_str("  ],\n");
+
+    // Compiled single-step programs, timed as interleaved arms so the rows
+    // share the host's state.
+    let mut steps = step_benches();
+    let step_ns = best_ns_interleaved(steps.len(), WARMUP, REPS, |arm| {
+        let s = &mut steps[arm];
+        black_box(
+            s.program
+                .run_int_prepacked(Pool::serial(), &mut s.scratch, black_box(&s.input)),
+        );
+    });
+    json.push_str("  \"program_steps\": [\n");
+    for (i, (s, ns)) in steps.iter().zip(&step_ns).enumerate() {
+        let gmacs = mac_per_s(s.macs, *ns) / 1e9;
+        eprintln!(
+            "[bench_kernels] step {}: {ns:.0} ns ({gmacs:.2} GMAC/s)",
+            s.label
+        );
+        let _ = writeln!(
+            json,
+            "    {{\"shape\": \"{}\", \"macs\": {}, \"ns\": {ns:.0}, \"gmacs\": {gmacs:.3}}}{}",
+            s.label,
+            s.macs,
+            if i + 1 < steps.len() { "," } else { "" },
         );
     }
     json.push_str("  ]\n}\n");

@@ -6,7 +6,7 @@
 //!
 //! 1. **Throughput** — N concurrent sessions multiplexed across one pool
 //!    vs the same N streams served back-to-back on isolated
-//!    [`FrameRunner`]s sharing the same packed programs. On a multi-core
+//!    [`FrameRunner`](np_adaptive::FrameRunner)s sharing the same packed programs. On a multi-core
 //!    host the multiplexed aggregate fps must be ≥ 1.5× sequential; on a
 //!    single-CPU box the gate relaxes to no-regression (≥ 0.9×), since
 //!    there is no parallelism to harvest — only scheduling overhead to

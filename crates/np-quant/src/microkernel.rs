@@ -33,6 +33,7 @@
 //!
 //! [`qdot`]: crate::lowering::qdot
 //! [`qgemm_row`]: crate::lowering::qgemm_row
+//! [`requantize_to_i8`]: crate::requant::requantize_to_i8
 
 use crate::lowering::{patch_stride, widen_weight_rows};
 use crate::requant::FixedMultiplier;
@@ -98,7 +99,7 @@ fn dot_tile_4x2(w: [&[i16]; MR], xp: &[i16], xq: &[i16]) -> [i32; MR * NR] {
 /// stays branch-free. `floor = i8::MIN` disables the ReLU clamp. Bit-exact
 /// with `requantize_to_i8` followed by the `< out_zp` floor check.
 #[inline(always)]
-fn requant_clamp(acc: i32, mult: i32, shift: u32, out_zp: i32, floor: i8) -> i8 {
+pub(crate) fn requant_clamp(acc: i32, mult: i32, shift: u32, out_zp: i32, floor: i8) -> i8 {
     let prod = acc as i64 * mult as i64;
     let sign = prod >> 63; // 0 or -1
     let round = ((1i64 << shift) >> 1) ^ sign; // +r / -(r+1); 0 at shift 0
@@ -136,12 +137,11 @@ fn dot_tile_4x1(w: [&[i16]; MR], xp: &[i16]) -> [i32; MR] {
 ///   `out[f*C*cols..(f+1)*C*cols]`, plane-major)
 ///
 /// One frame is chunked over whole channel panels, several frames over
-/// whole frames ([`for_each_conv_chunk`]). Across frames each [`MR`]-row
-/// weight panel is streamed once per [`PIXEL_BLOCK`] of the *whole batch*
-/// rather than once per frame. Each output element is one `r`-ascending
-/// integer dot, so results are bit-identical to per-channel
-/// [`qgemm_row`] + [`requantize_to_i8`] at any pool width and any
-/// `frames`.
+/// whole frames. Across frames each [`MR`]-row weight panel is streamed
+/// once per [`PIXEL_BLOCK`] of the *whole batch* rather than once per
+/// frame. Each output element is one `r`-ascending integer dot, so
+/// results are bit-identical to per-channel [`qgemm_row`] +
+/// [`requantize_to_i8`] at any pool width and any `frames`.
 ///
 /// # Panics
 ///
@@ -209,7 +209,7 @@ pub fn qconv_panels_into(
 
 /// The ReLU floor of the fused epilogues: the output zero point clamped
 /// to i8, or `i8::MIN` (no clamp) without ReLU.
-fn relu_floor(relu: bool, out_zp: i32) -> i8 {
+pub(crate) fn relu_floor(relu: bool, out_zp: i32) -> i8 {
     if relu {
         out_zp.clamp(-128, 127) as i8
     } else {
@@ -481,7 +481,8 @@ fn default_isa() -> KernelIsa {
 }
 
 /// The process-wide kernel ISA: `NP_ISA` when set to `scalar|avx2-i8`,
-/// otherwise [`default_isa`].
+/// otherwise the raw-i8 AVX2 kernel on hosts that have AVX2 and the
+/// scalar i16 baseline elsewhere.
 /// Cached; a misparse warns once through the np-trace facade and falls
 /// back to the default, like `NP_THREADS`.
 pub fn kernel_isa() -> KernelIsa {
@@ -592,7 +593,7 @@ pub fn fold_offset_bias(
 /// per-frame blocked and the output is NCHW. Each weight panel is
 /// streamed once per [`PIXEL_BLOCK`]-column group of the *whole batch*,
 /// and the 16-column blocks give the skinny GEMV-shaped layers real
-/// column parallelism. Chunking follows [`for_each_conv_chunk`], so
+/// column parallelism. Chunking follows [`qconv_panels_into`]'s, so
 /// results are bit-exact at any pool width and any `frames`.
 ///
 /// # Panics
@@ -932,11 +933,12 @@ unsafe fn i8_chunk_avx2(a: &I8ChunkArgs<'_>, chunk: &mut [i8]) {
 ///
 /// # Safety
 ///
-/// AVX2 must be enabled (callee of [`i8_chunk_avx2`] only).
+/// AVX2 must be enabled (callee of [`i8_chunk_avx2`] and the depthwise
+/// band body only).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn requant_8_avx2(
+pub(crate) unsafe fn requant_8_avx2(
     a: std::arch::x86_64::__m256i,
     mv: std::arch::x86_64::__m256i,
     round_v: std::arch::x86_64::__m256i,
@@ -954,6 +956,59 @@ unsafe fn requant_8_avx2(
     // Clamped values fit 8 bits, so the i64 lanes' low halves carry them;
     // blend evens (low 32 of v_even) with odds shifted into the high 32.
     _mm256_blend_epi32::<0b10101010>(v_even, _mm256_slli_epi64::<32>(v_odd))
+}
+
+/// [`requant_8_avx2`] for multipliers with `shift >= 32` (every real
+/// multiplier below 0.5: an output scale over twice the accumulator
+/// scale), before the ReLU floor: the arithmetic shift of the rounded i64
+/// product (`|p| < 2^63`) is its high dword shifted by `shift − 32`
+/// (`cnt_hi`), which fits i32 (`|v| < 2^31`), so the zero point is an i32
+/// add and the i8 clamp is left to the caller's saturating packs. That drops the sign re-extension and both i64 clamps
+/// of the general path, about half its instructions, and stays
+/// bit-identical: `clamp_i8(v + zp)` is what `packs_epi32` then
+/// `packs_epi16` compute.
+///
+/// # Safety
+///
+/// AVX2 must be enabled (callee of the depthwise band body only).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+pub(crate) unsafe fn requant_8_hi_avx2(
+    a: std::arch::x86_64::__m256i,
+    mv: std::arch::x86_64::__m256i,
+    round_v: std::arch::x86_64::__m256i,
+    cnt_hi: std::arch::x86_64::__m128i,
+    zp32: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let even = round_i64x4_avx2(_mm256_mul_epi32(a, mv), round_v);
+    let odd = round_i64x4_avx2(
+        _mm256_mul_epi32(_mm256_shuffle_epi32::<0xF5>(a), mv),
+        round_v,
+    );
+    // High dwords: the even lanes' move down into even position, the odd
+    // lanes' already sit in odd position.
+    let hi = _mm256_blend_epi32::<0b10101010>(_mm256_srli_epi64::<32>(even), odd);
+    _mm256_add_epi32(_mm256_sra_epi32(hi, cnt_hi), zp32)
+}
+
+/// `prod ± round`, the sign-dependent rounding offset of
+/// [`requant_clamp`] on four i64 lanes.
+///
+/// # Safety
+///
+/// AVX2 must be enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn round_i64x4_avx2(
+    prod: std::arch::x86_64::__m256i,
+    round_v: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let sgn = _mm256_cmpgt_epi64(_mm256_setzero_si256(), prod);
+    _mm256_sub_epi64(_mm256_add_epi64(prod, _mm256_xor_si256(round_v, sgn)), sgn)
 }
 
 /// Four i64 lanes of the fixed-point epilogue: `((prod + round⊕sign −
@@ -978,9 +1033,7 @@ unsafe fn requant_i64x4_avx2(
     zp_v: std::arch::x86_64::__m256i,
 ) -> std::arch::x86_64::__m256i {
     use std::arch::x86_64::*;
-    let sgn = _mm256_cmpgt_epi64(_mm256_setzero_si256(), prod);
-    let rounded = _mm256_sub_epi64(_mm256_add_epi64(prod, _mm256_xor_si256(round_v, sgn)), sgn);
-    let shifted = _mm256_srl_epi64(rounded, cnt);
+    let shifted = _mm256_srl_epi64(round_i64x4_avx2(prod, round_v), cnt);
     let v = _mm256_sub_epi64(_mm256_xor_si256(shifted, ext_m), ext_m);
     let w = _mm256_add_epi64(v, zp_v);
     let hi = _mm256_set1_epi64x(127);

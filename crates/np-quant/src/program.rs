@@ -20,9 +20,13 @@
 //!   uses on GAP8, blocked MR×NR so eight accumulator chains share every
 //!   operand load — with the requantize fused in while the accumulators
 //!   are still in registers;
-//! * depthwise steps run the interior/edge fast path (`qdw_plane`): no
-//!   im2col materialization, the per-channel filter in a register array,
-//!   the zero point folded away on interior pixels, requantize fused;
+//! * depthwise steps run one tiled kernel for every kernel size, stride
+//!   and padding: each plane is copied once into a zero-bordered,
+//!   stride-phase-split tile of centered values, so every tap of a band
+//!   is one vector multiply-add over a flattened run with no edge cases,
+//!   followed by the GEMM's vectorized requantize epilogue;
+//! * pooling steps run per-plane bodies, 2×2/s2 (every pool in the zoo)
+//!   as a row-pair × column-pair reduction;
 //! * linear biases are zero-point-folded (`b' = b - zp * Σw`), turning the
 //!   fully-connected hot loop into a plain integer dot product.
 //!
@@ -38,11 +42,13 @@
 //!
 //! [`MR`]: crate::microkernel::MR
 
-use crate::kernels::{qdw_plane, QConvGeometry};
+use crate::kernels::{
+    qavg_pool_plane, qdepthwise_into, qmax_pool_plane, round_div, Depthwise, QConvGeometry,
+};
 use crate::lowering::{patch_stride, qim2row_into, qim2row_u8_into, u8_lowered_len};
 use crate::microkernel::{
     fold_offset_bias, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_into,
-    qconv_panels_into, KernelIsa,
+    qconv_panels_into, simd_enabled, KernelIsa,
 };
 use crate::qnetwork::{QLayer, QuantizedNetwork};
 use crate::qparams::{fold_zero_point, QuantParams};
@@ -195,7 +201,8 @@ pub struct StepWorkload {
     /// Multiply-accumulates (window elements for pooling, touched
     /// elements for elementwise).
     pub macs: u64,
-    /// Arena bytes read + written ([`Step::io_bytes`]).
+    /// Arena bytes read + written: the step's activation input and
+    /// output, weights excluded.
     pub io_bytes: u64,
     /// im2row patch columns lowered (conv steps only; zero for kernels
     /// that never build the patch matrix).
@@ -971,6 +978,7 @@ impl QuantizedProgram {
             ..
         } = scratch;
         let buf = |id: usize| self.buf_at(plan, id, batch);
+        let simd = simd_enabled();
         let run_start = np_trace::start();
         for (step_idx, step) in self.steps.iter().enumerate() {
             let step_start = np_trace::start();
@@ -1063,32 +1071,22 @@ impl QuantizedProgram {
                     input,
                     output,
                 } => {
-                    let oh = (h + 2 * padding - kernel) / stride + 1;
-                    let ow = (w + 2 * padding - kernel) / stride + 1;
+                    let dw = Depthwise {
+                        h: *h,
+                        w: *w,
+                        in_zp: *in_zp,
+                        channels: *channels,
+                        kernel: *kernel,
+                        stride: *stride,
+                        padding: *padding,
+                        weight,
+                        bias,
+                        mults,
+                        out_zp: *out_zp,
+                        relu: *relu,
+                    };
                     let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
-                    let k2 = kernel * kernel;
-                    // Plane `pi` belongs to channel `pi % channels` of
-                    // frame `pi / channels`.
-                    for_each_plane(pool, inp, h * w, outp, oh * ow, k2, |pi, plane, dst| {
-                        let ci = pi % channels;
-                        qdw_plane(
-                            plane,
-                            *h,
-                            *w,
-                            *in_zp,
-                            *kernel,
-                            *stride,
-                            *padding,
-                            &weight[ci * k2..(ci + 1) * k2],
-                            bias[ci],
-                            mults[ci],
-                            *out_zp,
-                            *relu,
-                            dst,
-                            oh,
-                            ow,
-                        );
-                    });
+                    qdepthwise_into(pool, &dw, inp, outp);
                 }
                 Step::Linear {
                     in_features,
@@ -1137,19 +1135,8 @@ impl QuantizedProgram {
                     let ow = (w - kernel) / stride + 1;
                     let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
                     let k2 = kernel * kernel;
-                    for_each_plane(pool, inp, h * w, outp, oh * ow, k2, |_, plane, dst| {
-                        for oy in 0..oh {
-                            for ox in 0..ow {
-                                let mut best = i8::MIN;
-                                for ky in 0..*kernel {
-                                    for kx in 0..*kernel {
-                                        best = best
-                                            .max(plane[(oy * stride + ky) * w + ox * stride + kx]);
-                                    }
-                                }
-                                dst[oy * ow + ox] = best;
-                            }
-                        }
+                    for_each_plane(pool, inp, h * w, outp, oh * ow, k2, |plane, dst| {
+                        qmax_pool_plane(plane, *w, *kernel, *stride, dst, ow, simd);
                     });
                 }
                 Step::AvgPool {
@@ -1163,22 +1150,10 @@ impl QuantizedProgram {
                 } => {
                     let oh = (h - kernel) / stride + 1;
                     let ow = (w - kernel) / stride + 1;
-                    let div = (kernel * kernel) as i32;
                     let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
                     let k2 = kernel * kernel;
-                    for_each_plane(pool, inp, h * w, outp, oh * ow, k2, |_, plane, dst| {
-                        for oy in 0..oh {
-                            for ox in 0..ow {
-                                let mut a = 0i32;
-                                for ky in 0..*kernel {
-                                    for kx in 0..*kernel {
-                                        a +=
-                                            plane[(oy * stride + ky) * w + ox * stride + kx] as i32;
-                                    }
-                                }
-                                dst[oy * ow + ox] = round_div(a, div);
-                            }
-                        }
+                    for_each_plane(pool, inp, h * w, outp, oh * ow, k2, |plane, dst| {
+                        qavg_pool_plane(plane, *w, *kernel, *stride, dst, ow, simd);
                     });
                 }
                 Step::GlobalAvgPool {
@@ -1215,7 +1190,7 @@ impl QuantizedProgram {
     }
 }
 
-/// Runs `body(plane_index, in_plane, out_plane)` over the consecutive
+/// Runs `body(in_plane, out_plane)` over the consecutive
 /// `in_plane`/`out_plane`-element planes of `inp`/`outp`, parallel over
 /// whole planes. `taps` is the per-output-element work that sizes the
 /// pool (see [`Pool::for_work`]); chunk boundaries depend only on the
@@ -1227,7 +1202,7 @@ fn for_each_plane(
     outp: &mut [i8],
     out_plane: usize,
     taps: usize,
-    body: impl Fn(usize, &[i8], &mut [i8]) + Sync,
+    body: impl Fn(&[i8], &mut [i8]) + Sync,
 ) {
     let planes = outp.len() / out_plane.max(1);
     let pool = pool.for_work(planes * taps * out_plane);
@@ -1236,20 +1211,9 @@ fn for_each_plane(
     pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
         for (j, dst) in chunk.chunks_mut(out_plane).enumerate() {
             let pi = idx * per_chunk + j;
-            body(pi, &inp[pi * in_plane..(pi + 1) * in_plane], dst);
+            body(&inp[pi * in_plane..(pi + 1) * in_plane], dst);
         }
     });
-}
-
-/// `sum / div` rounded half away from zero and clamped to i8 — the
-/// average-pool requantization.
-fn round_div(sum: i32, div: i32) -> i8 {
-    let rounded = if sum >= 0 {
-        (sum + div / 2) / div
-    } else {
-        (sum - div / 2) / div
-    };
-    rounded.clamp(-128, 127) as i8
 }
 
 #[cfg(test)]

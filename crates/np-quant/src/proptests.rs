@@ -1,14 +1,19 @@
 //! Property-based parity suites for the integer kernels.
 //!
 //! The program's fast kernels — the lowered conv panels in both weight
-//! formats and the depthwise plane kernel — must agree with the direct
-//! reference loops *exactly* (integer arithmetic has no tolerance to hide
+//! formats, the tiled depthwise kernel and the pooling plane bodies — must
+//! agree with the direct reference loops *exactly* (integer arithmetic has no tolerance to hide
 //! behind) across random geometries including stride and padding edge
 //! cases, and across every pool width. Whole random networks are checked
 //! end to end against the scalar oracle [`QuantizedNetwork::run_int`].
 
-use crate::kernels::{qconv2d_reference, qdepthwise_conv2d_reference, qdw_plane, QConvGeometry};
+use crate::kernels::{
+    qavg_pool2d, qavg_pool_plane, qconv2d_reference, qdepthwise_conv2d_reference, qdepthwise_impl,
+    qmax_pool2d, qmax_pool_plane, Depthwise, QConvGeometry,
+};
 use crate::lowering::{patch_stride, qgemm_row, qim2row_into, qim2row_u8_into, u8_lowered_len};
+#[cfg(target_arch = "x86_64")]
+use crate::microkernel::avx2_available;
 use crate::microkernel::{
     fold_offset_bias, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_impl,
     qconv_panels_i8_into, qconv_panels_into, KernelIsa, NR_I8,
@@ -268,21 +273,27 @@ proptest! {
         prop_assert_eq!(&got, &want, "forced scalar, zp {}", in_zp);
     }
 
-    /// The depthwise interior/edge plane kernel the program runs
-    /// (`qdw_plane`, once per channel) against the guarded reference.
-    /// Kernel sizes 1..8 hit every const-generic specialization (1/3/5/7)
-    /// and the fallback sizes; small planes with large padding produce
-    /// empty or degenerate interiors.
+    /// The program's depthwise step kernel against the guarded reference,
+    /// over `batch × channels` planes (plane `p` uses channel `p %
+    /// channels`), at pool widths 1, 2 and 8 and with both the portable
+    /// and (where the host has it) the AVX2 body, at every input zero
+    /// point and at small and large multipliers. Kernel sizes 1..8 at
+    /// strides 1..3 cover every phase split, including kernels narrower
+    /// than the stride; small planes with large padding produce windows
+    /// that are mostly padding; and the widest draws exceed the tile, so
+    /// they run in several bands of output rows.
     #[test]
     fn depthwise_fast_path_matches_reference_at_ragged_shapes(
-        channels in 1usize..7,
+        channels in 1usize..5,
+        batch in 1usize..3,
         kernel in 1usize..8,
         stride in 1usize..4,
         padding in 0usize..4,
-        h_extra in 0usize..11,
-        w_extra in 0usize..11,
-        in_zp in -20i32..20,
+        h_extra in 0usize..48,
+        w_extra in 0usize..64,
+        in_zp in -128i32..128,
         out_zp in -20i32..20,
+        big_sel in 0u8..2,
         relu_sel in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
@@ -291,37 +302,98 @@ proptest! {
         let h = kernel.saturating_sub(2 * padding).max(1) + h_extra;
         let w = kernel.saturating_sub(2 * padding).max(1) + w_extra;
         let relu = relu_sel == 1;
-        let input = seeded_i8("dwf-x", seed, channels * h * w);
+        let input = seeded_i8("dwf-x", seed, batch * channels * h * w);
         let weight = seeded_i8("dwf-w", seed, channels * kernel * kernel);
         let bias = seeded_bias("dwf-b", seed, channels);
-        let mults = seeded_mults("dwf-m", seed, channels);
+        // Realistic multipliers requantize with a shift of at least 32;
+        // large ones (up to `from_real`'s saturating edge) take the
+        // general epilogue.
+        let mults: Vec<FixedMultiplier> = if big_sel == 1 {
+            (0..channels)
+                .map(|i| FixedMultiplier::from_real([0.5, 0.9, 3.0, 2.0e9][i % 4]))
+                .collect()
+        } else {
+            seeded_mults("dwf-m", seed, channels)
+        };
 
-        let reference = qdepthwise_conv2d_reference(
-            &input, h, w, in_zp, channels, kernel, stride, padding,
-            &weight, &bias, &mults, out_zp, relu,
-        );
-        let oh = conv_out_dim(h, kernel, stride, padding);
-        let ow = conv_out_dim(w, kernel, stride, padding);
-        let mut got = vec![0i8; channels * oh * ow];
-        for (c, dst) in got.chunks_mut(oh * ow).enumerate() {
-            qdw_plane(
-                &input[c * h * w..(c + 1) * h * w],
-                h, w, in_zp, kernel, stride, padding,
-                &weight[c * kernel * kernel..(c + 1) * kernel * kernel],
-                bias[c], mults[c], out_zp, relu, dst, oh, ow,
-            );
+        let frame = channels * h * w;
+        let reference: Vec<i8> = input
+            .chunks_exact(frame)
+            .flat_map(|x| {
+                qdepthwise_conv2d_reference(
+                    x, h, w, in_zp, channels, kernel, stride, padding,
+                    &weight, &bias, &mults, out_zp, relu,
+                )
+            })
+            .collect();
+        let dw = Depthwise {
+            h, w, in_zp, channels, kernel, stride, padding,
+            weight: &weight, bias: &bias, mults: &mults, out_zp, relu,
+        };
+        let mut simd_modes = vec![false];
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            simd_modes.push(true);
         }
-        prop_assert_eq!(&got, &reference);
+        for use_simd in simd_modes {
+            for threads in [1usize, 2, 8] {
+                let mut got = vec![0i8; reference.len()];
+                qdepthwise_impl(Pool::new(threads), &dw, &input, &mut got, use_simd);
+                prop_assert_eq!(&got, &reference, "simd {} threads {}", use_simd, threads);
+            }
+        }
+    }
+
+    /// The program's max- and average-pool plane bodies against
+    /// [`qmax_pool2d`] / [`qavg_pool2d`], plane by plane: kernels 1..4 at
+    /// strides 1..3 (2×2/s2 takes the row-pair body, portable and, where
+    /// the host has it, AVX2; the rest the window loop) over ragged planes
+    /// whose last rows and columns fall outside every window.
+    #[test]
+    fn pool_planes_match_reference_at_ragged_shapes(
+        channels in 1usize..5,
+        kernel in 1usize..5,
+        stride in 1usize..4,
+        h_extra in 0usize..12,
+        w_extra in 0usize..12,
+        seed in 0u64..1_000_000,
+    ) {
+        let (h, w) = (kernel + h_extra, kernel + w_extra);
+        let input = seeded_i8("pool-x", seed, channels * h * w);
+        let (oh, ow) = ((h - kernel) / stride + 1, (w - kernel) / stride + 1);
+        let want_max = qmax_pool2d(&input, channels, h, w, kernel, stride);
+        let want_avg = qavg_pool2d(&input, channels, h, w, kernel, stride);
+        let mut simd_modes = vec![false];
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            simd_modes.push(true);
+        }
+        for use_simd in simd_modes {
+            let mut got_max = vec![0i8; channels * oh * ow];
+            let mut got_avg = vec![0i8; channels * oh * ow];
+            for ((plane, mx), av) in input
+                .chunks_exact(h * w)
+                .zip(got_max.chunks_exact_mut(oh * ow))
+                .zip(got_avg.chunks_exact_mut(oh * ow))
+            {
+                qmax_pool_plane(plane, w, kernel, stride, mx, ow, use_simd);
+                qavg_pool_plane(plane, w, kernel, stride, av, ow, use_simd);
+            }
+            prop_assert_eq!(&got_max, &want_max, "max, simd {}", use_simd);
+            prop_assert_eq!(&got_avg, &want_avg, "avg, simd {}", use_simd);
+        }
     }
 }
 
 /// One whole-network case: a random conv → depthwise → pointwise → pool
 /// stage → linear network for `side × side` single-channel inputs,
 /// quantized on seeded frames, plus 8 seeded input frames and the scalar
-/// oracle's output for each, concatenated. `pool_sel` draws the pool
-/// stage after the pointwise conv (0: none, 1: 2×2/2 `MaxPool2d`, 2:
-/// 2×2/2 `AvgPool2d`) and `gap` puts a `GlobalAvgPool` before the head,
-/// so the program's pool loops meet ragged channel counts and odd planes.
+/// oracle's output for each, concatenated. The depthwise layer is
+/// `dw_kernel × dw_kernel` at `dw_stride` with padding `dw_kernel / 2`.
+/// `pool_sel` draws the pool stage after the pointwise conv (0: none, 1:
+/// 2×2/2 `MaxPool2d`, 2: 2×2/2 `AvgPool2d`) and `gap` puts a
+/// `GlobalAvgPool` before the head, so the program's pool loops meet
+/// ragged channel counts and odd planes.
 #[allow(clippy::too_many_arguments)]
 fn random_case(
     tag: &str,
@@ -329,6 +401,8 @@ fn random_case(
     c2: usize,
     kernel: usize,
     stride: usize,
+    dw_kernel: usize,
+    dw_stride: usize,
     side: usize,
     pool_sel: usize,
     gap: bool,
@@ -336,11 +410,15 @@ fn random_case(
 ) -> (QuantizedNetwork, Vec<i8>, Vec<i8>) {
     let mut rng = SmallRng::seed(seed);
     let k = Initializer::KaimingUniform;
-    let mut oh = conv_out_dim(side, kernel, stride, 1);
+    let dw_pad = dw_kernel / 2;
+    let conv_out = conv_out_dim(side, kernel, stride, 1);
+    let mut oh = conv_out_dim(conv_out, dw_kernel, dw_stride, dw_pad);
     let mut layers: Vec<Box<dyn Layer>> = vec![
         Box::new(Conv2d::new(1, c1, kernel, stride, 1, k, &mut rng)),
         Box::new(Relu::new()),
-        Box::new(DepthwiseConv2d::new(c1, 3, 1, 1, k, &mut rng)),
+        Box::new(DepthwiseConv2d::new(
+            c1, dw_kernel, dw_stride, dw_pad, k, &mut rng,
+        )),
         Box::new(Relu::new()),
         Box::new(Conv2d::new(c1, c2, 1, 1, 0, k, &mut rng)),
         Box::new(Relu::new()),
@@ -384,21 +462,26 @@ proptest! {
     /// and against the scalar oracle `run_int`, frame by frame, on a
     /// random conv/depthwise/pointwise/pool/linear network. The drawn
     /// channel counts are deliberately allowed to be ragged against the
-    /// microkernel panel height, and the drawn spatial sizes make the
-    /// per-frame pixel count odd.
+    /// microkernel panel height, the drawn spatial sizes make the
+    /// per-frame pixel count odd, and the depthwise layer is 3×3 or 5×5
+    /// at stride 1 or 2.
     #[test]
     fn run_int_batched_equals_independent_prepacked_runs(
         c1 in 1usize..6,
         c2 in 1usize..9,
         kernel in 1usize..4,
         stride in 1usize..3,
+        dw_kernel_sel in 0usize..2,
+        dw_stride in 1usize..3,
         side in 8usize..13,
         pool_sel in 0usize..3,
         gap_sel in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
+        let dw_kernel = [3, 5][dw_kernel_sel];
         let (qnet, inputs, oracle) = random_case(
-            "batched-prop", c1, c2, kernel, stride, side, pool_sel, gap_sel == 1, seed,
+            "batched-prop", c1, c2, kernel, stride, dw_kernel, dw_stride, side, pool_sel, gap_sel == 1,
+            seed,
         );
         let frame_len = side * side;
         let program = qnet.compile_batched((1, side, side), 8);
@@ -439,13 +522,17 @@ proptest! {
         c2 in 1usize..9,
         kernel in 1usize..4,
         stride in 1usize..3,
+        dw_kernel_sel in 0usize..2,
+        dw_stride in 1usize..3,
         side in 8usize..13,
         pool_sel in 0usize..3,
         gap_sel in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
+        let dw_kernel = [3, 5][dw_kernel_sel];
         let (qnet, inputs, oracle) = random_case(
-            "isa-prop", c1, c2, kernel, stride, side, pool_sel, gap_sel == 1, seed,
+            "isa-prop", c1, c2, kernel, stride, dw_kernel, dw_stride, side, pool_sel, gap_sel == 1,
+            seed,
         );
         let frame_len = side * side;
         let p16 = qnet.compile_batched_for_isa((1, side, side), 8, KernelIsa::ScalarI16);

@@ -97,10 +97,10 @@ impl QuantParams {
 ///
 /// In i32, `Σ (x - zp)·w == Σ x·w - zp·Σw` exactly, so a kernel using the
 /// folded bias can accumulate raw `x·w` products with no per-tap centering
-/// — the compile-time fold the linear step and the depthwise interior fast
-/// path both rely on. Only valid when *every* tap of the reduction is a
-/// real input value; taps that fall in padding must keep the unfolded form
-/// (padding contributes `(zp - zp)·w = 0`, not `-zp·w`).
+/// — the compile-time fold the linear step relies on. Only valid when
+/// *every* tap of the reduction is a real input value; taps that fall in
+/// padding must keep the unfolded form (padding contributes
+/// `(zp - zp)·w = 0`, not `-zp·w`).
 pub fn fold_zero_point(bias: i32, weight: &[i8], zp: i32) -> i32 {
     let wsum: i32 = weight.iter().map(|&v| v as i32).sum();
     bias - zp * wsum

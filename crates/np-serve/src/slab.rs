@@ -1,7 +1,7 @@
 //! Slab-allocated per-session serving state.
 //!
 //! Everything a stream needs beyond the shared packed weights lives in
-//! one [`Session`] slot: its private activation arena ([`QScratch`]), its
+//! one `Session` slot: its private activation arena ([`QScratch`]), its
 //! OP-policy state, a bounded ring of queued frames, and its latency
 //! histogram. Slots are recycled through a freelist: retiring a session
 //! pushes its slot (warm arena included) back for the next admission, so
@@ -157,7 +157,7 @@ impl Session {
     }
 }
 
-/// Fixed-capacity slab of [`Session`] slots with a freelist.
+/// Fixed-capacity slab of `Session` slots with a freelist.
 ///
 /// `admit` is O(1): pop the freelist (or, before the slab has ever
 /// reached `capacity` live slots, append one new slot — the only path

@@ -36,8 +36,8 @@ fn oracle_forward(qnet: &QuantizedNetwork, frame: &[f32]) -> Vec<f32> {
 /// channel counts (5, 9, 11) are deliberately *not* multiples of the conv
 /// microkernel's panel height, so every pointwise layer exercises the
 /// ragged last panel, and whose depthwise stack covers kernel sizes 5 and
-/// 3 at strides 1 and 2 (both the interior fast loop and the padded edge
-/// bands).
+/// 3 at strides 1 and 2 (every stride-phase split of the tiled kernel,
+/// padding cells included).
 fn build_dw_heavy(rng: &mut SmallRng) -> Sequential {
     let k = Initializer::KaimingUniform;
     Sequential::with_name(
