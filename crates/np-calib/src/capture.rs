@@ -12,6 +12,7 @@
 
 use crate::fit::Sample;
 use np_dory::deploy_analytic;
+use np_gap8::calib::im2row_conv_work;
 use np_gap8::perf::KernelClass;
 use np_gap8::Gap8Config;
 use np_nn::init::SmallRng;
@@ -169,20 +170,23 @@ pub fn capture_zoo(pool: Pool) -> Result<Capture, String> {
                 .iter()
                 .find(|(s, _)| *s as usize == span_idx)
                 .ok_or_else(|| format!("span `{span_name}` recorded no events"))?;
+            // im2row-lowered steps are counted as the host runs them: GEMM
+            // tiles over a u8 panel of whole column blocks, which the
+            // lowering writes and the GEMM re-reads — the descriptors
+            // np-dory's `layer_workload` prices.
+            let (macs, im2row_bytes) = if w.im2row_cols > 0 && w.out_channels > 0 {
+                let out = w.out_channels as u64;
+                im2row_conv_work(out, w.im2row_cols, w.macs / (out * w.im2row_cols))
+            } else {
+                (w.macs, 0)
+            };
             model_layers.push(CapturedLayer {
                 sample: Sample {
                     name: span_name,
                     class: step_class(w),
-                    macs: w.macs,
+                    macs,
                     io_bytes: w.io_bytes,
-                    // im2row-lowered steps write (and the GEMM re-reads) a
-                    // u8 panel of `cols × patch = macs / out_channels`
-                    // bytes per frame — the descriptor the fitter prices.
-                    im2row_bytes: if w.im2row_cols > 0 && w.out_channels > 0 {
-                        w.macs / w.out_channels as u64
-                    } else {
-                        0
-                    },
+                    im2row_bytes,
                     measured_ns: *median,
                 },
                 model: name.clone(),
@@ -244,6 +248,28 @@ mod tests {
         assert_eq!(step_class(&w("maxpool", 2)), KernelClass::Pool);
         assert_eq!(step_class(&w("gap", 1)), KernelClass::Pool);
         assert_eq!(step_class(&w("relu", 1)), KernelClass::Elementwise);
+    }
+
+    /// The descriptors the fitter prices are the buffer the u8 lowering
+    /// really fills, ragged last blocks and padded patches included, and
+    /// the MACs of the GEMM's whole filter-row tiles over it.
+    #[test]
+    fn im2row_descriptors_follow_the_i8_kernel_layout() {
+        use np_quant::microkernel::MR;
+        for (out, cols, patch) in [
+            (32usize, 960, 25),
+            (12, 60, 288),
+            (30, 15, 180),
+            (48, 6, 216),
+        ] {
+            let panel = np_quant::lowering::u8_lowered_len(cols, patch) as u64;
+            let tiles = out.div_ceil(MR) * MR;
+            assert_eq!(
+                im2row_conv_work(out as u64, cols as u64, patch as u64),
+                (tiles as u64 * panel, panel),
+                "out {out} cols {cols} patch {patch}"
+            );
+        }
     }
 
     #[test]

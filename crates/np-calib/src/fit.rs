@@ -35,11 +35,12 @@ pub struct Sample {
     pub name: String,
     /// Kernel class of the executing step.
     pub class: KernelClass,
-    /// Multiply-accumulates.
+    /// Multiply-accumulates; for im2row-lowered steps, those of the
+    /// GEMM's whole tiles ([`np_gap8::calib::im2row_conv_work`]).
     pub macs: u64,
     /// Activation bytes read + written.
     pub io_bytes: u64,
-    /// im2row panel bytes lowered (conv steps only).
+    /// im2row panel bytes lowered (conv steps only; whole column blocks).
     pub im2row_bytes: u64,
     /// Measured wall time in nanoseconds (median over profile frames).
     pub measured_ns: f64,

@@ -367,13 +367,15 @@ mod tests {
         let calibrated = deploy_calibrated(&desc, &cfg, &model).unwrap();
         assert!(calibrated.calibrated);
         assert_eq!(calibrated.layers.len(), analytic.layers.len());
-        // Every layer is repriced by the pooled linear model.
+        // Every layer is repriced by the pooled linear model over its
+        // calibrated descriptors.
         for (cal, layer) in calibrated.layers.iter().zip(
             desc.layers
                 .iter()
                 .filter(|l| crate::tiling::matters(l.kind)),
         ) {
-            let expected = (0.5 * layer.macs() as f64).round() as u64 + 2_000;
+            let (macs, _, _) = crate::schedule::layer_workload(layer);
+            let expected = (0.5 * macs as f64).round() as u64 + 2_000;
             assert_eq!(cal.cycles.total(), expected, "layer {}", cal.name);
         }
         assert_ne!(calibrated.total_cycles(), analytic.total_cycles());

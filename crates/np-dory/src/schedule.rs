@@ -1,7 +1,7 @@
 //! Per-layer schedule pricing: compute vs DMA under double buffering.
 
 use crate::tiling::{matters, total_dma_bytes, TilingChoice};
-use np_gap8::calib::CalibModel;
+use np_gap8::calib::{im2row_conv_work, CalibModel};
 use np_gap8::dma::DmaLink;
 use np_gap8::perf::{compute_cycles, CycleBreakdown, KernelClass};
 use np_gap8::Gap8Config;
@@ -26,21 +26,26 @@ pub fn kernel_class(layer: &LayerDesc) -> KernelClass {
     }
 }
 
-/// The linear-model workload descriptors of one layer: MACs, activation
-/// bytes moved (int8 input read + output written), and im2row panel bytes
-/// lowered (`columns × patch = macs / out_channels` for im2row-lowered
-/// conv kinds — the u8 patch matrix written once and re-read by the GEMM;
-/// zero for kernels that never build it). These are the features the
-/// `np-calib` fitter regresses measured time against, so the analytic and
-/// calibrated paths price exactly the same quantities.
+/// The calibrated model's workload descriptors of one layer: MACs,
+/// activation bytes moved (int8 input read + output written), and im2row
+/// panel bytes lowered. For im2row-lowered conv kinds both are counted as
+/// the host's raw-i8 path executes them ([`im2row_conv_work`]: whole GEMM
+/// tiles over a u8 panel of whole column blocks); kernels that never
+/// build a panel lower zero bytes. These are the features the
+/// `np-calib` fitter regresses measured time against, so the fitter and
+/// the calibrated plans price exactly the same quantities.
 pub fn layer_workload(layer: &LayerDesc) -> (u64, u64, u64) {
-    let macs = layer.macs();
     let io_bytes = layer.input_elems() + layer.output_elems();
-    let im2row_bytes = match layer.kind {
-        LayerKind::Conv2d => macs / (layer.out_channels.max(1) as u64),
-        _ => 0,
-    };
-    (macs, io_bytes, im2row_bytes)
+    match layer.kind {
+        LayerKind::Conv2d => {
+            let cols = layer.out_hw.0 * layer.out_hw.1;
+            let patch = layer.in_channels * layer.kernel * layer.kernel;
+            let (macs, panel) =
+                im2row_conv_work(layer.out_channels as u64, cols as u64, patch as u64);
+            (macs, io_bytes, panel)
+        }
+        _ => (layer.macs(), io_bytes, 0),
+    }
 }
 
 /// Prices one layer: compute cycles from the kernel model, per-tile DMA
@@ -72,11 +77,12 @@ pub fn schedule_layer_with(
     }
 
     let class = kernel_class(layer);
-    let (macs, io_bytes, im2row_bytes) = layer_workload(layer);
     if let Some(model) = calib {
+        let (macs, io_bytes, im2row_bytes) = layer_workload(layer);
         return model.breakdown(class, macs, io_bytes, im2row_bytes);
     }
-    let compute = compute_cycles(cfg, class, macs, layer.out_channels, io_bytes);
+    let io_bytes = layer.input_elems() + layer.output_elems();
+    let compute = compute_cycles(cfg, class, layer.macs(), layer.out_channels, io_bytes);
 
     let dma_bytes = total_dma_bytes(layer, choice);
     let dma_total = DmaLink::L2ToL1.transfer_cycles(dma_bytes / choice.n_tiles.max(1))
@@ -220,6 +226,15 @@ mod tests {
         assert_eq!(io_bytes, conv.input_elems() + conv.output_elems());
         // cols x patch = (24*40) x (32*3*3) u8 panel bytes per frame.
         assert_eq!(im2row, 24 * 40 * 32 * 9);
+        // A ragged plane pays for whole 16-column blocks, 8-row patches
+        // and 4-filter tiles: 2x3 outputs of a 3x3 filter over 12 channels
+        // fill one block of 16 columns x 112 rows, and 30 filters run as
+        // 32.
+        let small = layer(LayerKind::Conv2d, 12, 30, (2, 3), 3);
+        assert_eq!(
+            layer_workload(&small),
+            (32 * 16 * 112, 12 * 6 + 30 * 6, 16 * 112)
+        );
         // Non-im2row kinds lower no panel bytes.
         let dw = layer(LayerKind::DepthwiseConv2d, 32, 32, (24, 40), 3);
         assert_eq!(layer_workload(&dw).2, 0);

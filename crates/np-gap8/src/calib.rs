@@ -65,14 +65,30 @@ impl KernelClass {
     }
 }
 
+/// The calibrated model's `(macs, im2row_bytes)` descriptors of an
+/// im2row-lowered conv with `out_channels` filters, `cols` output pixels
+/// and `patch = C_in·K·K` taps, counted as the host's raw-i8 path runs
+/// it: the lowering fills a u8 panel of whole 16-column blocks with each
+/// patch padded to a multiple of 8 rows, and the GEMM computes whole
+/// tiles of 4 filters × 16 columns over it. A plane with few output
+/// pixels pays for a full block: a 2×3 plane runs 16 columns, 2.7× its
+/// MACs. The block sizes are np-quant's `NR_I8`, `I16_LANES` and `MR`
+/// (np-calib's tests pin them to its `u8_lowered_len`).
+pub fn im2row_conv_work(out_channels: u64, cols: u64, patch: u64) -> (u64, u64) {
+    let panel = cols.div_ceil(16) * 16 * patch.div_ceil(8) * 8;
+    (out_channels.div_ceil(4) * 4 * panel, panel)
+}
+
 /// Fitted linear coefficients of one kernel class, in cluster cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClassCoeffs {
-    /// Cycles per multiply-accumulate.
+    /// Cycles per multiply-accumulate (for im2row-lowered convs, per MAC
+    /// the host GEMM executes; see [`im2row_conv_work`]).
     pub cycles_per_mac: f64,
     /// Cycles per activation byte read + written (arena traffic).
     pub cycles_per_byte: f64,
-    /// Cycles per im2row panel byte lowered (conv kinds only; 0 elsewhere).
+    /// Cycles per im2row panel byte lowered ([`im2row_conv_work`]; conv
+    /// kinds only, 0 elsewhere).
     pub cycles_per_im2row_byte: f64,
     /// Fixed per-layer overhead in cycles.
     pub overhead_cycles: f64,

@@ -188,6 +188,12 @@ const DW_TILE: usize = 2048;
 /// loops; a band's flattened run is rounded up to whole blocks.
 const DW_LANES: usize = 16;
 
+/// Cells a depthwise band's window may use: the tile less the over-read
+/// of the last vector block. One output's receptive field must fit
+/// ([`assert_filter_fits`](crate::lowering::assert_filter_fits)), which
+/// admits kernels up to 45 at stride 1 and 44 at stride 2.
+pub(crate) const DW_BAND_CELLS: usize = DW_TILE - DW_LANES;
+
 /// One depthwise step: geometry, per-channel filters and requantization.
 /// The step runs over `batch × channels` consecutive CHW planes; plane
 /// `p` uses channel `p % channels`.
@@ -246,7 +252,7 @@ pub(crate) fn qdepthwise_into(pool: Pool, dw: &Depthwise<'_>, input: &[i8], out:
 /// # Panics
 ///
 /// Panics on size mismatches, or if a single output's receptive field
-/// does not fit the tile (a filter wider than ~45 taps).
+/// does not fit the tile ([`DW_BAND_CELLS`]).
 pub(crate) fn qdepthwise_impl(
     pool: Pool,
     dw: &Depthwise<'_>,
@@ -265,7 +271,7 @@ pub(crate) fn qdepthwise_impl(
     assert_eq!(dw.mults.len(), dw.channels, "multiplier count");
     debug_assert!((-128..=127).contains(&dw.in_zp), "input zero point");
     debug_assert!((-128..=127).contains(&dw.out_zp), "output zero point");
-    let bands = Bands::new(oh, ow, dw.kernel, dw.stride, DW_TILE - DW_LANES);
+    let bands = Bands::new(oh, ow, dw.kernel, dw.stride, DW_BAND_CELLS);
     let pool = pool.for_work(planes * k2 * plane_out);
     let chunk_len = pool.chunk_len_for(planes, plane_out);
     let per_chunk = chunk_len / plane_out;

@@ -262,8 +262,10 @@ pub fn qim2row_u8_into(
 
 /// Bytes of the pad-bordered offset-binary window the K×K u8 lowering
 /// reads taps from, kept on the stack. A plane larger than the window is
-/// lowered in bands of output rows and columns ([`Bands`]).
-const LOWER_TILE: usize = 4096;
+/// lowered in bands of output rows and columns ([`Bands`]); one output's
+/// receptive field must fit ([`assert_filter_fits`]), which admits
+/// kernels up to 64.
+pub(crate) const LOWER_TILE: usize = 4096;
 
 /// One frame of [`qim2row_u8_into`].
 fn qim2row_u8_frame(
@@ -335,6 +337,7 @@ fn kxk_u8(input: &[i8], h: usize, w: usize, in_zp: i32, geo: QConvGeometry, lowe
     let mut window = [pad_byte; LOWER_TILE];
     for (oy0, rows, ox0, cols) in bands.iter() {
         let tile = bands.tile(rows, cols);
+        let taps = TapOffsets::new(k, s, tile);
         // Every channel writes the same in-bounds cells, so the border
         // set here stays the pad byte.
         window[..tile.cells()].fill(pad_byte);
@@ -365,8 +368,7 @@ fn kxk_u8(input: &[i8], h: usize, w: usize, in_zp: i32, geo: QConvGeometry, lowe
                         len,
                         at: oy * tile.pw + ox,
                     };
-                    let taps = TapOffsets::new(k, s, tile);
-                    lower_channel_taps(blk, run, &window, taps, ci * k * k);
+                    lower_channel_taps(blk, run, &window, taps.clone(), ci * k * k);
                     ox += len;
                 }
             }
@@ -460,21 +462,33 @@ pub(crate) struct Bands {
     cols: usize,
 }
 
+/// Panics unless one output of a `kernel`/`stride` filter — its `(1 +
+/// q)²` cells in each of the `sp²` phases, `q = (kernel − 1) / stride`,
+/// `sp = min(stride, kernel)` — fits a phase-split tile of `budget`
+/// cells. [`Bands::new`] needs this; program compilation runs it too, so
+/// an unsupported filter fails at setup rather than on its first frame.
+pub(crate) fn assert_filter_fits(kernel: usize, stride: usize, budget: usize) {
+    let sp = stride.min(kernel);
+    let q = (kernel - 1) / stride;
+    assert!(
+        (1 + q) * (1 + q) <= budget / (sp * sp),
+        "a {kernel}x{kernel}/s{stride} filter exceeds the {budget}-cell tile"
+    );
+}
+
 impl Bands {
     /// Bands for a `kernel`/`stride` filter whose tiles hold at most
     /// `budget` cells.
     ///
     /// # Panics
     ///
-    /// Panics if one output's receptive field does not fit `budget`.
+    /// Panics if one output's receptive field does not fit `budget`
+    /// ([`assert_filter_fits`]).
     pub fn new(oh: usize, ow: usize, kernel: usize, stride: usize, budget: usize) -> Self {
+        assert_filter_fits(kernel, stride, budget);
         let sp = stride.min(kernel);
         let q = (kernel - 1) / stride;
         let per_phase = budget / (sp * sp);
-        assert!(
-            (1 + q) * (1 + q) <= per_phase,
-            "a {kernel}x{kernel}/s{stride} filter exceeds the {budget}-cell tile"
-        );
         let cols = ow.min(per_phase / (1 + q) - q);
         let rows = oh.min(per_phase / (cols + q) - q);
         Bands {
@@ -621,6 +635,7 @@ pub(crate) fn fill_phase_tile<T: TileCell>(
 /// `(ky, kx)` order: tap `(ky, kx)` sits in phase `(ky mod s, kx mod s)`
 /// at row `ky div s`, column `kx div s`. Walked with counters, so it
 /// divides nothing.
+#[derive(Clone)]
 pub(crate) struct TapOffsets {
     k: usize,
     s: usize,

@@ -44,8 +44,11 @@
 
 use crate::kernels::{
     qavg_pool_plane, qdepthwise_into, qmax_pool_plane, round_div, Depthwise, QConvGeometry,
+    DW_BAND_CELLS,
 };
-use crate::lowering::{patch_stride, qim2row_into, qim2row_u8_into, u8_lowered_len};
+use crate::lowering::{
+    assert_filter_fits, patch_stride, qim2row_into, qim2row_u8_into, u8_lowered_len, LOWER_TILE,
+};
 use crate::microkernel::{
     fold_offset_bias, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_into,
     qconv_panels_into, simd_enabled, KernelIsa,
@@ -424,7 +427,9 @@ impl QuantizedProgram {
     ///
     /// # Panics
     ///
-    /// Panics if `max_batch == 0`.
+    /// Panics if `max_batch == 0`, or if a depthwise filter, or a K×K conv
+    /// filter of the raw-i8 format, has a receptive field wider than its
+    /// kernel's stack tile ([`assert_filter_fits`]).
     pub(crate) fn compile_with(
         net: &QuantizedNetwork,
         chw: (usize, usize, usize),
@@ -454,6 +459,7 @@ impl QuantizedProgram {
                     let cols = oh * ow;
                     let patch = geo.in_channels * geo.kernel * geo.kernel;
                     let weights = if isa.packs_i8() {
+                        assert_filter_fits(geo.kernel, geo.stride, LOWER_TILE);
                         lowered_u8_len = lowered_u8_len.max(u8_lowered_len(cols, patch));
                         ConvWeights::I8 {
                             panels: pack_conv_panels_i8(weight, geo.out_channels, patch),
@@ -501,6 +507,7 @@ impl QuantizedProgram {
                     out,
                     relu,
                 } => {
+                    assert_filter_fits(*kernel, *stride, DW_BAND_CELLS);
                     let oh = (h + 2 * padding - kernel) / stride + 1;
                     let ow = (w + 2 * padding - kernel) / stride + 1;
                     let (input, output) = bufs.advance(channels * oh * ow);
@@ -1320,6 +1327,66 @@ mod tests {
         assert_eq!(program.output_chw(), (3, 1, 1));
         assert_eq!(program.output_len(), 3);
         assert!(program.packed_weight_bytes() > 0);
+    }
+
+    /// A one-layer network over a 4×4 input: a depthwise filter, or a
+    /// conv filter with 2 output channels, of size `kernel` at stride 1.
+    fn wide_filter_net(kernel: usize, depthwise: bool) -> QuantizedNetwork {
+        let mut rng = SmallRng::seed(46);
+        let layer: Box<dyn np_nn::Layer> = if depthwise {
+            Box::new(DepthwiseConv2d::new(
+                2,
+                kernel,
+                1,
+                kernel / 2,
+                Initializer::KaimingUniform,
+                &mut rng,
+            ))
+        } else {
+            Box::new(Conv2d::new(
+                2,
+                2,
+                kernel,
+                1,
+                kernel / 2,
+                Initializer::KaimingUniform,
+                &mut rng,
+            ))
+        };
+        let net = Sequential::with_name("wide-filter", vec![layer]);
+        let calib = Tensor::from_vec(
+            &[2, 2, 4, 4],
+            (0..64).map(|i| i as f32 / 32.0 - 1.0).collect(),
+        );
+        QuantizedNetwork::quantize(&net, &calib)
+    }
+
+    /// The widest filters the stack tiles admit compile and run exactly;
+    /// one tap wider fails at compile time, not on the first frame.
+    #[test]
+    fn filter_size_limits_are_checked_at_compile_time() {
+        let input: Vec<i8> = (0..32).map(|i| (i * 7 % 23) as i8 - 11).collect();
+        for (kernel, depthwise, isa) in [
+            (45, true, KernelIsa::ScalarI16),
+            (64, false, KernelIsa::Avx2I8),
+        ] {
+            let qnet = wide_filter_net(kernel, depthwise);
+            let program = qnet.compile_for_isa((2, 4, 4), isa);
+            let mut scratch = QScratch::for_program(&program);
+            let (want, _) = qnet.run_int(&input, (2, 4, 4));
+            let (got, _) = program.run_int_prepacked(Pool::serial(), &mut scratch, &input);
+            assert_eq!(got, &want[..], "kernel {kernel}");
+
+            let wider = wide_filter_net(kernel + 1, depthwise);
+            let err = std::panic::catch_unwind(|| wider.compile_for_isa((2, 4, 4), isa))
+                .expect_err("a filter past the tile must not compile");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(msg.contains("exceeds the"), "{msg}");
+        }
+        // The i16 conv lowering has no tile, so it takes any kernel.
+        wide_filter_net(65, false).compile_for_isa((2, 4, 4), KernelIsa::ScalarI16);
     }
 
     #[test]

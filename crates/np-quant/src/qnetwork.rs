@@ -210,6 +210,13 @@ impl QuantizedNetwork {
     /// [`run_int_prepacked`](QuantizedProgram::run_int_prepacked)
     /// produces bit-identical outputs to [`Self::run_int`] without
     /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a filter is wider than its kernel's stack tile: a
+    /// depthwise kernel above 45 (44 at stride 2), or, in the raw-i8
+    /// format, a K×K conv kernel above 64. The other `compile*` entry
+    /// points share the limits.
     pub fn compile(&self, chw: (usize, usize, usize)) -> QuantizedProgram {
         QuantizedProgram::compile_with(self, chw, 1, kernel_isa(), true)
     }
