@@ -54,33 +54,27 @@ cargo run --release -q -p np-bench --features trace --bin trace_report \
 
 echo "==> kernel exactness proptests (release: optimizer must not change results)"
 test_named "cargo test -q --release -p np-quant" \
-    microkernel_matches_qgemm_row_at_ragged_shapes \
+    i8_microkernel_matches_qgemm_row_at_adversarial_corners \
     depthwise_fast_path_matches_reference_at_ragged_shapes \
     pool_planes_match_reference_at_ragged_shapes \
     lowered_qconv2d_equals_reference_exactly
 
-echo "==> raw-i8 kernel exactness proptests (release)"
+echo "==> batched exactness (release): raw-i8 kernel and whole-network oracle"
 test_named "cargo test -q --release -p np-quant" \
-    i8_microkernel_matches_i16_reference_at_adversarial_corners \
-    i8_program_equals_scalar_i16_program_across_batches
-
-echo "==> batched exactness proptests (release)"
-test_named "cargo test -q --release -p np-quant" \
-    batched_microkernel_equals_per_frame_runs \
+    batched_i8_kernel_equals_per_frame_runs \
     run_int_batched_equals_independent_prepacked_runs
 
 echo "==> forced-scalar leg: NP_ISA pins the portable kernel bodies"
-# The same exactness suites with SIMD dispatch disabled, so the scalar
-# fallbacks are covered even on an AVX2 host (and an AVX2-only bug cannot
-# hide behind a scalar-only CI box, or vice versa). The explicitly
-# raw-i8 programs of the isa-parity suite run the portable i8 body here.
+# The same exactness suites with SIMD dispatch disabled, so the portable
+# raw-i8, depthwise and pooling bodies, which hosts without AVX2 run,
+# are covered even on an AVX2 host (and an AVX2-only bug cannot hide
+# behind a scalar-only CI box, or vice versa).
 test_named "env NP_ISA=scalar cargo test -q --release -p np-quant" \
-    microkernel_matches_qgemm_row_at_ragged_shapes \
+    i8_microkernel_matches_qgemm_row_at_adversarial_corners \
     depthwise_fast_path_matches_reference_at_ragged_shapes \
     pool_planes_match_reference_at_ragged_shapes \
-    i8_microkernel_matches_i16_reference_at_adversarial_corners \
-    batched_microkernel_equals_per_frame_runs \
-    i8_program_equals_scalar_i16_program_across_batches \
+    lowered_qconv2d_equals_reference_exactly \
+    batched_i8_kernel_equals_per_frame_runs \
     run_int_batched_equals_independent_prepacked_runs
 NP_ISA=scalar cargo test -q --release --test prepacked
 

@@ -2,8 +2,9 @@
 //!
 //! Three questions, answered with wall time and effective MAC/s:
 //!
-//! 1. Does the im2col-lowered int8 conv beat the direct loop nest at the
-//!    dominant layer shape of every paper network (F1, F2, M1.0)?
+//! 1. Does the im2row-lowered raw-i8 conv, the path compiled programs
+//!    run, beat the direct loop nest at the dominant layer shape of every
+//!    paper network (F1, F2, M1.0)?
 //! 2. How does the row-chunked float GEMM scale across pool widths
 //!    (`NP_THREADS`-style 1/2/4)?
 //! 3. How fast do the compiled program's depthwise and pooling steps run
@@ -22,10 +23,7 @@ use np_nn::layers::{DepthwiseConv2d, MaxPool2d};
 use np_nn::{Layer, Sequential};
 use np_quant::kernels::{qconv2d_reference, QConvGeometry};
 use np_quant::lowering::{patch_stride, u8_lowered_len};
-use np_quant::microkernel::{
-    fold_offset_bias, kernel_isa, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_into,
-    qconv_panels_into, KernelIsa, NR_I8,
-};
+use np_quant::microkernel::{fold_offset_bias, pack_conv_panels_i8, qconv_panels_i8_into, NR_I8};
 use np_quant::requant::FixedMultiplier;
 use np_quant::{QScratch, QuantizedNetwork, QuantizedProgram};
 use np_tensor::matmul::matmul_acc_with;
@@ -325,108 +323,10 @@ fn main() {
     }
     json.push_str("  ],\n");
 
-    // i16 vs raw-i8 panel kernel, side by side on the same single-frame
-    // GEMM shapes: same columns, same requant, the only difference is the
-    // weight format (widened i16 panels + 4×2 tile vs raw i8 panels +
-    // 4×16 offset-binary tile) — plus the packed footprint each format
-    // carries. The i8 rows are what `run_int_prepacked` executes on an
-    // AVX2 host; the i16 rows are the pre-existing path kept for
-    // non-AVX2 fallback.
-    json.push_str("  \"i16_vs_i8_panel_kernel\": [\n");
-    let mut i8_speedups: Vec<(&str, f64)> = Vec::new();
-    for (i, (label, oc, patch, cols)) in BATCH_SHAPES.iter().enumerate() {
-        let (oc, patch, cols) = (*oc, *patch, *cols);
-        let ps = patch_stride(patch);
-        let in_zp = -3i32;
-        let weight = pseudo_i8(oc * patch, 31);
-        let bias = vec![100i32; oc];
-        let mults = vec![FixedMultiplier::from_real(0.003); oc];
-        let vals = pseudo_i8(cols * patch, 32);
-
-        let packed16 = pack_conv_panels(&weight, oc, patch);
-        let mut low16 = vec![0i16; cols * ps];
-        for col in 0..cols {
-            for r in 0..patch {
-                low16[col * ps + r] = (vals[col * patch + r] as i32 - in_zp) as i16;
-            }
-        }
-        let packed8 = pack_conv_panels_i8(&weight, oc, patch);
-        let fb = fold_offset_bias(&bias, &weight, oc, patch, in_zp);
-        let mut low8 = vec![(in_zp + 128) as u8; u8_lowered_len(cols, patch)];
-        for col in 0..cols {
-            for r in 0..patch {
-                low8[(col / NR_I8) * NR_I8 * ps
-                    + (r / 2) * 2 * NR_I8
-                    + 2 * (col % NR_I8)
-                    + (r & 1)] = (vals[col * patch + r] as u8) ^ 0x80;
-            }
-        }
-
-        let macs = (oc * patch * cols) as u64;
-        let mut out = vec![0i8; oc * cols];
-        let i16_ns = time_ns(|| {
-            qconv_panels_into(
-                Pool::serial(),
-                &packed16,
-                patch,
-                black_box(&low16),
-                &bias,
-                &mults,
-                5,
-                true,
-                1,
-                &mut out,
-            );
-            black_box(&out);
-        });
-        let mut out8 = vec![0i8; oc * cols];
-        let i8_ns = time_ns(|| {
-            qconv_panels_i8_into(
-                Pool::serial(),
-                &packed8,
-                patch,
-                black_box(&low8),
-                &fb,
-                &mults,
-                5,
-                true,
-                1,
-                &mut out8,
-            );
-            black_box(&out8);
-        });
-        assert_eq!(out, out8, "i16 and i8 kernels disagree on {label}");
-        let speedup = i16_ns / i8_ns;
-        i8_speedups.push((label, speedup));
-        let i16_bytes = 2 * packed16.len() + 4 * bias.len();
-        let i8_bytes = packed8.len() + 4 * fb.len();
-        eprintln!(
-            "[bench_kernels] i16-vs-i8 {label}: i16 {i16_ns:.0} ns ({:.1} MMAC/s), \
-             i8 {i8_ns:.0} ns ({:.1} MMAC/s) — {speedup:.2}x, packed {} -> {} B",
-            mac_per_s(macs, i16_ns) / 1e6,
-            mac_per_s(macs, i8_ns) / 1e6,
-            i16_bytes,
-            i8_bytes,
-        );
-        let _ = writeln!(
-            json,
-            "    {{\"shape\": \"{label}\", \"out_channels\": {oc}, \"patch\": {patch}, \
-             \"cols\": {cols}, \"macs\": {macs}, \
-             \"i16_ns\": {i16_ns:.0}, \"i8_ns\": {i8_ns:.0}, \
-             \"i16_mac_per_s\": {:.0}, \"i8_mac_per_s\": {:.0}, \
-             \"i8_speedup\": {speedup:.3}, \
-             \"i16_packed_bytes\": {i16_bytes}, \"i8_packed_bytes\": {i8_bytes}}}{}",
-            mac_per_s(macs, i16_ns),
-            mac_per_s(macs, i8_ns),
-            if i + 1 < BATCH_SHAPES.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n");
-
     // Cross-frame batching: aggregate throughput for the same BATCH_FRAMES
     // frames when they are processed in groups of B through the batched
     // raw-i8 panel kernel (B=1 uses the single-frame kernel, i.e. the
-    // exact code path `run_int_prepacked` takes on an AVX2 host).
+    // exact code path `run_int_prepacked` takes).
     // `aggregate_speedup_vs_b1` is the frames-per-second ratio the batch
     // collector buys at each group size. With 16-column tiles, frames
     // inside a group share whole weight-panel streams across a 256-column
@@ -576,19 +476,6 @@ fn main() {
             *speedup > 0.95,
             "batched panel kernel lost throughput at B=8 on {label}: {speedup:.3}x"
         );
-    }
-    // The raw-i8 kernel must beat the i16 kernel clearly where the AVX2
-    // body runs (the gate is skipped when NP_ISA or the host forces a
-    // scalar body — there the i8 rows measure the portable fallback).
-    if kernel_isa() == KernelIsa::Avx2I8 {
-        for (label, speedup) in &i8_speedups {
-            if *label == "M1.0_pointwise" {
-                assert!(
-                    *speedup >= 1.5,
-                    "raw-i8 kernel under 1.5x vs i16 on {label}: {speedup:.3}x"
-                );
-            }
-        }
     }
     eprintln!("[bench_kernels] wrote {out_path}");
 }

@@ -122,18 +122,6 @@ fn main() {
         let mut scratch = QScratch::for_program(&program);
         let q = qnet.input_params().quantize_slice(frame.as_slice());
 
-        // Both conv weight formats, compiled side by side: the i8 format
-        // halves the packed conv panels (one byte per weight lane) and
-        // swaps the i16 im2row staging buffer for a u8 one, so both the
-        // flash-analogue (packed bytes) and the RAM-analogue (scratch
-        // bytes) shrink. The timed `program` above uses the host-default
-        // format; these two report what each format costs regardless of
-        // which one the default picked.
-        let p16 = qnet.compile_for_isa(PROXY_INPUT, np_quant::KernelIsa::ScalarI16);
-        let p8 = qnet.compile_for_isa(PROXY_INPUT, np_quant::KernelIsa::Avx2I8);
-        let scratch16 = QScratch::for_program(&p16).bytes();
-        let scratch8 = QScratch::for_program(&p8).bytes();
-
         let prepacked_ns = best_ns_interleaved(1, WARMUP, REPS, |_| {
             black_box(program.run_int_prepacked(pool, &mut scratch, black_box(&q)));
         })[0];
@@ -143,27 +131,19 @@ fn main() {
 
         prepacked_alloc_free &= prepacked_allocs == 0;
         eprintln!(
-            "[bench_pipeline] {}: prepacked {:.0} ns ({} allocs); \
-             packed i16 {} B -> i8 {} B, scratch {} B -> {} B",
+            "[bench_pipeline] {}: prepacked {:.0} ns ({} allocs); packed {} B",
             id.name(),
             prepacked_ns,
             prepacked_allocs,
-            p16.packed_weight_bytes(),
-            p8.packed_weight_bytes(),
-            scratch16,
-            scratch8,
+            program.packed_weight_bytes(),
         );
         let _ = writeln!(
             json,
             "    {{\"model\": \"{}\", \"arena_bytes\": {}, \"packed_weight_bytes\": {}, \
-             \"packed_weight_bytes_i16\": {}, \"packed_weight_bytes_i8\": {}, \
-             \"scratch_bytes_i16\": {scratch16}, \"scratch_bytes_i8\": {scratch8}, \
              \"prepacked_ns\": {prepacked_ns:.0}, \"prepacked_allocs_per_frame\": {prepacked_allocs}}}{}",
             id.name(),
             program.arena_bytes(),
             program.packed_weight_bytes(),
-            p16.packed_weight_bytes(),
-            p8.packed_weight_bytes(),
             if i + 1 < nets.len() { "," } else { "" },
         );
     }

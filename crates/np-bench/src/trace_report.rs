@@ -112,7 +112,7 @@ pub fn main() {
         .find(|(id, _, _)| *id == ModelId::M10)
         .unwrap();
     let program = qm10.compile(PROXY_INPUT);
-    let kernel_isa = program.isa().as_str();
+    let kernel_isa = np_quant::kernel_isa().as_str();
     let mut scratch = QScratch::for_program(&program);
     let q = qm10.input_params().quantize_slice(frame.as_slice());
 

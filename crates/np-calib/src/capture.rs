@@ -45,7 +45,7 @@ pub struct CapturedLayer {
 pub struct Capture {
     /// All captured layers across models.
     pub layers: Vec<CapturedLayer>,
-    /// Kernel isa the profiled programs were compiled for.
+    /// Kernel isa the profiled programs ran on ([`np_quant::kernel_isa`]).
     pub kernel_isa: String,
     /// Worker threads used during capture.
     pub np_threads: usize,
@@ -130,12 +130,10 @@ pub fn capture_zoo(pool: Pool) -> Result<Capture, String> {
     let gap8 = Gap8Config::default();
 
     let mut layers = Vec::new();
-    let mut kernel_isa = None;
     for id in [ModelId::F1, ModelId::F2, ModelId::M10] {
         let net = id.build_proxy(&mut rng);
         let qnet = QuantizedNetwork::quantize(&net, &calib_frames);
         let program = qnet.compile(PROXY_INPUT);
-        kernel_isa.get_or_insert_with(|| program.isa().as_str().to_string());
         let mut scratch = QScratch::for_program(&program);
         let q = qnet.input_params().quantize_slice(frame.as_slice());
         for _ in 0..PROFILE_FRAMES {
@@ -214,7 +212,7 @@ pub fn capture_zoo(pool: Pool) -> Result<Capture, String> {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     Ok(Capture {
         layers,
-        kernel_isa: kernel_isa.unwrap_or_else(|| "unknown".to_string()),
+        kernel_isa: np_quant::kernel_isa().as_str().to_string(),
         np_threads: pool.threads(),
         profile_frames: PROFILE_FRAMES,
         host: format!(

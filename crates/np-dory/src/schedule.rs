@@ -226,14 +226,14 @@ mod tests {
         assert_eq!(io_bytes, conv.input_elems() + conv.output_elems());
         // cols x patch = (24*40) x (32*3*3) u8 panel bytes per frame.
         assert_eq!(im2row, 24 * 40 * 32 * 9);
-        // A ragged plane pays for whole 16-column blocks, 8-row patches
-        // and 4-filter tiles: 2x3 outputs of a 3x3 filter over 12 channels
-        // fill one block of 16 columns x 112 rows, and 30 filters run as
-        // 32.
-        let small = layer(LayerKind::Conv2d, 12, 30, (2, 3), 3);
+        // A ragged plane pays for whole 16-column blocks, row-pair patches
+        // and 4-filter tiles: 2x3 outputs of a 3x3 filter over 13 channels
+        // fill one block of 16 columns x 118 rows (117 taps and a pad
+        // row), and 30 filters run as 32.
+        let small = layer(LayerKind::Conv2d, 13, 30, (2, 3), 3);
         assert_eq!(
             layer_workload(&small),
-            (32 * 16 * 112, 12 * 6 + 30 * 6, 16 * 112)
+            (32 * 16 * 118, 13 * 6 + 30 * 6, 16 * 118)
         );
         // Non-im2row kinds lower no panel bytes.
         let dw = layer(LayerKind::DepthwiseConv2d, 32, 32, (24, 40), 3);

@@ -69,13 +69,14 @@ impl KernelClass {
 /// im2row-lowered conv with `out_channels` filters, `cols` output pixels
 /// and `patch = C_in·K·K` taps, counted as the host's raw-i8 path runs
 /// it: the lowering fills a u8 panel of whole 16-column blocks with each
-/// patch padded to a multiple of 8 rows, and the GEMM computes whole
-/// tiles of 4 filters × 16 columns over it. A plane with few output
-/// pixels pays for a full block: a 2×3 plane runs 16 columns, 2.7× its
-/// MACs. The block sizes are np-quant's `NR_I8`, `I16_LANES` and `MR`
-/// (np-calib's tests pin them to its `u8_lowered_len`).
+/// patch padded to an even row count (rows are stored in pairs), and the
+/// GEMM computes whole tiles of 4 filters × 16 columns over it. A plane
+/// with few output pixels pays for a full block: a 2×3 plane runs 16
+/// columns, 2.7× its MACs. The block sizes are np-quant's `NR_I8`, the
+/// row pair of its `patch_stride` and `MR` (np-calib's tests pin them to
+/// its `u8_lowered_len`).
 pub fn im2row_conv_work(out_channels: u64, cols: u64, patch: u64) -> (u64, u64) {
-    let panel = cols.div_ceil(16) * 16 * patch.div_ceil(8) * 8;
+    let panel = cols.div_ceil(16) * 16 * patch.div_ceil(2) * 2;
     (out_channels.div_ceil(4) * 4 * panel, panel)
 }
 
@@ -143,7 +144,7 @@ pub struct CalibModel {
     pub schema_version: u32,
     /// Host fingerprint (`arch/os/cpus`) the profile was captured on.
     pub host: String,
-    /// `KernelIsa` the profiled programs were compiled for.
+    /// `KernelIsa` the profiled programs ran on.
     pub kernel_isa: String,
     /// Effective worker-thread count during capture.
     pub np_threads: usize,

@@ -1,97 +1,50 @@
 //! Register-blocked int8 GEMM microkernel for the lowered conv path.
 //!
-//! The per-pixel [`qdot`] loop already vectorizes well — a contiguous
-//! i16×i16 dot is exactly the `pmaddwd`/`SumDotp` pattern — but it reloads
-//! the full patch for every output channel and the full filter row for
-//! every pixel. The microkernel here keeps the *dot* structure (which is
-//! what LLVM recognizes; BLIS-style rank-1 broadcast tiles measured 4-5×
-//! slower in scalar Rust on this workload) and register-blocks it instead:
-//! [`MR`]=4 filter rows × [`NR`]=2 patches are reduced together, so eight
-//! accumulator chains share every `w` and `x` load. Measured on the paper
-//! shapes this is ~2.5-3× the per-pixel loop.
+//! Conv weights have one format: raw i8 filter rows packed into
+//! [`MR`]-row panels ([`pack_conv_panels_i8`]), run against the
+//! offset-binary u8 im2row buffer of
+//! [`crate::lowering::qim2row_u8_into`], with the input zero point and
+//! the +128 offset folded into the bias at compile time
+//! ([`fold_offset_bias`]). That is the one int8 weight format DORY's
+//! PULP-NN kernels use on GAP8.
 //!
-//! Layouts are unchanged from the rest of the crate:
+//! A tile is [`MR`]=4 filter rows × [`NR_I8`]=16 columns. The u8 buffer
+//! stores each 16-column block with its patch rows interleaved in pairs,
+//! so one k-pair of a block is 32 contiguous bytes: 16 columns × two
+//! rows, the operand shape of a `pmaddwd` step. Two bodies run it, both
+//! bit-exact: the AVX2 body with hand-written intrinsics, and a portable
+//! body whose pair sums LLVM vectorizes at the baseline ISA.
+//! [`KernelIsa`] names which one runs.
 //!
-//! * weights are pre-widened row-major i16 at [`patch_stride`] spacing
-//!   ([`pack_conv_panels`]), with the channel count padded up to a whole
-//!   number of [`MR`]-row panels — the pad rows are zero filters that are
-//!   computed and discarded, never stored;
-//! * activations are the patch-major im2row matrix of
-//!   [`crate::lowering::qim2row_into`]; the `patch_stride` tail lanes are
-//!   zero on both sides, so the padded dot is exact.
-//!
-//! Ragged edges: a pixel count that is not a multiple of [`NR`] falls back
-//! to a single-patch 4-chain tile for the last column, and the last panel
-//! of a channel count that is not a multiple of [`MR`] simply stores only
-//! its live rows. Both tails reduce in the same `r`-ascending order as
-//! [`qgemm_row`], and integer accumulation is exact, so every path is
-//! bit-identical to the reference at any pool width.
+//! Ragged edges: the last block of a plane computes whole 16-column tiles
+//! and stores only its live columns, and the last panel of a channel
+//! count that is not a multiple of [`MR`] stores only its live rows.
+//! Integer accumulation is exact, so every path is bit-identical to
+//! per-channel [`qgemm_row`] + [`requantize_to_i8`] at any pool width.
 //!
 //! The requantize epilogue is fused: accumulators go straight from
-//! registers through [`requantize_to_i8`] into the output plane; no i32
-//! matrix is ever materialized.
+//! registers through the fixed-point requantize into the output plane; no
+//! i32 matrix is ever materialized.
 //!
-//! [`qdot`]: crate::lowering::qdot
 //! [`qgemm_row`]: crate::lowering::qgemm_row
 //! [`requantize_to_i8`]: crate::requant::requantize_to_i8
 
-use crate::lowering::{patch_stride, widen_weight_rows};
+use crate::lowering::patch_stride;
 use crate::requant::FixedMultiplier;
 use np_tensor::parallel::Pool;
 
 /// Filter rows per panel (output-channel register blocking).
 pub const MR: usize = 4;
 
-/// Patches per tile (output-pixel register blocking).
-pub const NR: usize = 2;
-
-/// Columns per tile of the raw-i8 kernel ([`qconv_panels_i8_into`]): a
-/// whole 16-byte output row per store, reduced as 8 i32 accumulator
-/// vectors (4 filter rows × two 8-column halves) under AVX2.
+/// Columns per tile ([`qconv_panels_i8_into`]): a whole 16-byte output
+/// row per store, reduced as 8 i32 accumulator vectors (4 filter rows ×
+/// two 8-column halves) under AVX2.
 pub const NR_I8: usize = 16;
 
 /// Output pixels per cache block: a panel's [`MR`] filter rows are swept
-/// over at most this many patches before moving to the next panel, so the
-/// filter rows stay resident in L1 while the block's patches stream once.
+/// over at most this many columns before moving to the next panel, so the
+/// filter rows stay resident in L1 while the block's columns stream once.
 pub const PIXEL_BLOCK: usize = 256;
-
-/// Packs a `C_out x patch` row-major i8 weight matrix for
-/// [`qconv_panels_into`]: rows widened to i16 at [`patch_stride`] spacing
-/// (exactly [`widen_weight_rows`]) and the row count padded up to a whole
-/// number of [`MR`]-row panels with zero filters. Runs once at
-/// program-compile time.
-pub fn pack_conv_panels(weight: &[i8], out_channels: usize, patch: usize) -> Vec<i16> {
-    let mut packed = widen_weight_rows(weight, out_channels, patch);
-    packed.resize(out_channels.div_ceil(MR) * MR * patch_stride(patch), 0);
-    packed
-}
-
-/// One MR×NR register tile: four filter rows against two patches, eight
-/// i32 chains (`[c0p0, c1p0, c2p0, c3p0, c0p1, ..]`), `r`-ascending. The
-/// explicit 8-chain body is what lets LLVM keep every chain in a vector
-/// register while sharing the four `w` loads and two `x` loads per `r`.
-#[inline]
-fn dot_tile_4x2(w: [&[i16]; MR], xp: &[i16], xq: &[i16]) -> [i32; MR * NR] {
-    let [w0, w1, w2, w3] = w;
-    let mut a = [0i32; MR * NR];
-    for r in 0..xp.len() {
-        let x0 = xp[r] as i32;
-        let x1 = xq[r] as i32;
-        let v0 = w0[r] as i32;
-        let v1 = w1[r] as i32;
-        let v2 = w2[r] as i32;
-        let v3 = w3[r] as i32;
-        a[0] += v0 * x0;
-        a[1] += v1 * x0;
-        a[2] += v2 * x0;
-        a[3] += v3 * x0;
-        a[4] += v0 * x1;
-        a[5] += v1 * x1;
-        a[6] += v2 * x1;
-        a[7] += v3 * x1;
-    }
-    a
-}
 
 /// Branchless fused epilogue: `FixedMultiplier::apply` (round-half-away,
 /// i32-saturated) + zero point + i8 clamp + ReLU floor, with the sign
@@ -109,102 +62,6 @@ pub(crate) fn requant_clamp(acc: i32, mult: i32, shift: u32, out_zp: i32, floor:
     // through degenerate calibration ranges that produce huge multipliers).
     let v = (rounded >> shift).clamp(i32::MIN as i64, i32::MAX as i64);
     ((v + out_zp as i64).clamp(-128, 127) as i8).max(floor)
-}
-
-/// The NR tail: the same four chains over a single patch.
-#[inline]
-fn dot_tile_4x1(w: [&[i16]; MR], xp: &[i16]) -> [i32; MR] {
-    let [w0, w1, w2, w3] = w;
-    let mut a = [0i32; MR];
-    for r in 0..xp.len() {
-        let x = xp[r] as i32;
-        a[0] += w0[r] as i32 * x;
-        a[1] += w1[r] as i32 * x;
-        a[2] += w2[r] as i32 * x;
-        a[3] += w3[r] as i32 * x;
-    }
-    a
-}
-
-/// Lowered int8 convolution of `frames` frames: `out[f][c][col] =
-/// requant(bias[c] + packed[c] · lowered[f][col])` with the fused ReLU
-/// clamp, register-blocked and parallelized.
-///
-/// * `packed`: [`pack_conv_panels`] output for `bias.len()` channels
-/// * `lowered`: [`crate::lowering::qim2row_into`] output — `frames * cols`
-///   patch-major columns, frame-major
-/// * `out`: `frames * bias.len() * cols` i8, NCHW (frame `f` owns
-///   `out[f*C*cols..(f+1)*C*cols]`, plane-major)
-///
-/// One frame is chunked over whole channel panels, several frames over
-/// whole frames. Across frames each [`MR`]-row weight panel is streamed
-/// once per [`PIXEL_BLOCK`] of the *whole batch* rather than once per
-/// frame. Each output element is one `r`-ascending integer dot, so
-/// results are bit-identical to per-channel [`qgemm_row`] +
-/// [`requantize_to_i8`] at any pool width and any `frames`.
-///
-/// # Panics
-///
-/// Panics on size mismatches or `frames == 0`.
-///
-/// [`qgemm_row`]: crate::lowering::qgemm_row
-/// [`requantize_to_i8`]: crate::requant::requantize_to_i8
-#[allow(clippy::too_many_arguments)]
-pub fn qconv_panels_into(
-    pool: Pool,
-    packed: &[i16],
-    patch: usize,
-    lowered: &[i16],
-    bias: &[i32],
-    mults: &[FixedMultiplier],
-    out_zp: i32,
-    relu: bool,
-    frames: usize,
-    out: &mut [i8],
-) {
-    assert!(frames > 0, "frames must be at least 1");
-    let out_channels = bias.len();
-    if out_channels == 0 || out.is_empty() {
-        return;
-    }
-    let ps = patch_stride(patch);
-    let frame_out = out.len() / frames;
-    assert_eq!(out.len(), frames * frame_out, "output size");
-    let cols = frame_out / out_channels;
-    assert_eq!(frame_out, out_channels * cols, "output size");
-    let fstride = cols * ps;
-    assert_eq!(lowered.len(), frames * fstride, "lowered size");
-    assert_eq!(
-        packed.len(),
-        out_channels.div_ceil(MR) * MR * ps,
-        "packed weight size"
-    );
-    assert_eq!(mults.len(), out_channels, "multiplier count");
-    let floor = relu_floor(relu, out_zp);
-    #[cfg(target_arch = "x86_64")]
-    let has_avx2 = simd_enabled();
-    for_each_conv_chunk(pool, out, frames, out_channels, |at, chunk| {
-        let nf = chunk.len() / at.frame_out;
-        let args = ChunkArgs {
-            packed,
-            ps,
-            lowered: &lowered[at.frame * fstride..(at.frame + nf) * fstride],
-            bias,
-            mults,
-            out_zp,
-            floor,
-            cols,
-            at,
-        };
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2 {
-            // SAFETY: AVX2 support was verified above; the body is safe
-            // Rust, the attribute only widens the ISA it compiles to.
-            unsafe { conv_chunk_avx2(&args, chunk) };
-            return;
-        }
-        conv_chunk(&args, chunk);
-    });
 }
 
 /// The ReLU floor of the fused epilogues: the output zero point clamped
@@ -275,118 +132,6 @@ fn for_each_conv_chunk(
     }
 }
 
-/// Per-chunk invariants of [`qconv_panels_into`], bundled so the chunk
-/// body can be compiled once per instruction set.
-struct ChunkArgs<'a> {
-    packed: &'a [i16],
-    ps: usize,
-    /// This chunk's frames' columns only.
-    lowered: &'a [i16],
-    bias: &'a [i32],
-    mults: &'a [FixedMultiplier],
-    out_zp: i32,
-    floor: i8,
-    /// Output pixels per frame.
-    cols: usize,
-    at: ConvChunk,
-}
-
-/// The chunk body: all panels of one chunk over all pixel blocks of its
-/// frames' concatenated columns. Marked `inline(always)` so the
-/// `target_feature` wrapper below recompiles the whole loop nest (tiles
-/// included) with the wider vector ISA.
-#[inline(always)]
-fn conv_chunk(a: &ChunkArgs<'_>, chunk: &mut [i8]) {
-    let &ChunkArgs {
-        packed,
-        ps,
-        lowered,
-        bias,
-        mults,
-        out_zp,
-        floor,
-        cols,
-        at,
-    } = a;
-    let ConvChunk {
-        frame_out,
-        c_base,
-        live_ch,
-        ..
-    } = at;
-    let n_cols = chunk.len() / frame_out * cols;
-    for px0 in (0..n_cols).step_by(PIXEL_BLOCK) {
-        let px1 = (px0 + PIXEL_BLOCK).min(n_cols);
-        for lp in (0..live_ch).step_by(MR) {
-            let wbase = (c_base + lp) * ps;
-            // The packed matrix is padded to whole panels, so all four
-            // rows exist even when fewer than MR channels are live.
-            let w = [
-                &packed[wbase..wbase + ps],
-                &packed[wbase + ps..wbase + 2 * ps],
-                &packed[wbase + 2 * ps..wbase + 3 * ps],
-                &packed[wbase + 3 * ps..wbase + 4 * ps],
-            ];
-            let live = MR.min(live_ch - lp);
-            // Per-panel channel constants, hoisted out of the tile loop.
-            let mut pb = [0i32; MR];
-            let mut pmul = [0i32; MR];
-            let mut psh = [0u32; MR];
-            for m in 0..live {
-                let ch = c_base + lp + m;
-                pb[m] = bias[ch];
-                pmul[m] = mults[ch].multiplier;
-                psh[m] = mults[ch].shift as u32;
-            }
-            // Tiles never straddle a frame: the block is walked one
-            // frame segment at a time, within which global column `col`
-            // stores to `base + (lp + m) * cols + col`.
-            let mut col = px0;
-            while col < px1 {
-                let f = col / cols;
-                let seg_end = ((f + 1) * cols).min(px1);
-                let base = f * (frame_out - cols);
-                while col + NR <= seg_end {
-                    let xp = &lowered[col * ps..col * ps + ps];
-                    let xq = &lowered[(col + 1) * ps..(col + 1) * ps + ps];
-                    let acc = dot_tile_4x2(w, xp, xq);
-                    for m in 0..live {
-                        let row = base + (lp + m) * cols + col;
-                        chunk[row] = requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
-                        chunk[row + 1] =
-                            requant_clamp(acc[MR + m] + pb[m], pmul[m], psh[m], out_zp, floor);
-                    }
-                    col += NR;
-                }
-                if col < seg_end {
-                    let xp = &lowered[col * ps..col * ps + ps];
-                    let acc = dot_tile_4x1(w, xp);
-                    for m in 0..live {
-                        chunk[base + (lp + m) * cols + col] =
-                            requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
-                    }
-                    col += 1;
-                }
-            }
-        }
-    }
-}
-
-/// [`conv_chunk`] recompiled with AVX2 enabled: the i16-widening dot tiles
-/// vectorize at 8 i32 lanes instead of the baseline 4. Integer results are
-/// identical — vector width never changes two's-complement arithmetic —
-/// so this path stays bit-exact with the portable one.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support (the body itself is safe
-/// Rust; the attribute only changes code generation).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn conv_chunk_avx2(a: &ChunkArgs<'_>, chunk: &mut [i8]) {
-    conv_chunk(a, chunk);
-}
-
 /// Runtime AVX2 check (cached): CPU advertises AVX + AVX2 and the OS has
 /// enabled YMM state (OSXSAVE with XCR0 covering XMM|YMM).
 #[cfg(target_arch = "x86_64")]
@@ -423,34 +168,25 @@ unsafe fn xgetbv0() -> u64 {
 // Kernel ISA selection (`NP_ISA` override)
 // ---------------------------------------------------------------------------
 
-/// Which microkernel family programs compile their conv weights for and
-/// which code path executes them. The *format* half (i16 vs raw i8) is
-/// baked in at [`crate::QuantizedProgram`] compile time; the *SIMD* half
-/// is re-checked at run time, so `avx2-i8` on a host without AVX2 runs
-/// the portable i8 body. Both are bit-exact with each other; only speed
-/// differs. The two other pairings (i8 without AVX2, i16 under AVX2)
-/// measured slower than these on every seed, so they are not offered.
+/// Which conv, depthwise and pooling bodies execute: the portable ones
+/// or the AVX2 ones. Every program packs the same raw-i8 weights, so the
+/// choice is made per call at run time, and `avx2-i8` on a host without
+/// AVX2 runs the portable bodies. Both are bit-exact with each other;
+/// only speed differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelIsa {
-    /// i16-widened weight panels, autovectorized 4×2 tiles. The portable
-    /// baseline and the reference everything else is pinned against.
-    ScalarI16,
-    /// Raw-i8 panels with the hand-written AVX2 4×16 kernel. The default
-    /// on AVX2 hosts: half the packed/lowered bytes, double the lanes.
+    /// The portable bodies, vectorized by the compiler at the baseline
+    /// ISA. The default on hosts without AVX2.
+    Scalar,
+    /// The hand-written AVX2 bodies. The default on AVX2 hosts.
     Avx2I8,
 }
 
 impl KernelIsa {
-    /// True when programs compiled for this ISA pack raw-i8 weight panels
-    /// and lower activations to offset-binary u8 (vs i16 widening).
-    pub fn packs_i8(self) -> bool {
-        self == KernelIsa::Avx2I8
-    }
-
     /// The env-var spelling accepted by [`parse_np_isa`].
     pub fn as_str(self) -> &'static str {
         match self {
-            KernelIsa::ScalarI16 => "scalar",
+            KernelIsa::Scalar => "scalar",
             KernelIsa::Avx2I8 => "avx2-i8",
         }
     }
@@ -462,27 +198,26 @@ impl KernelIsa {
 pub fn parse_np_isa(raw: Option<&str>) -> Result<Option<KernelIsa>, String> {
     let Some(s) = raw else { return Ok(None) };
     match s.trim() {
-        "scalar" | "scalar-i16" => Ok(Some(KernelIsa::ScalarI16)),
+        "scalar" => Ok(Some(KernelIsa::Scalar)),
         "avx2-i8" => Ok(Some(KernelIsa::Avx2I8)),
         other => Err(other.to_string()),
     }
 }
 
-/// The ISA picked when `NP_ISA` is unset: the raw-i8 AVX2 kernel on hosts
-/// that have AVX2, the scalar i16 baseline otherwise (the i8 scalar tile
-/// is wider than the autovectorizer handles well without AVX2, so plain
-/// hosts keep the proven path).
+/// The ISA picked when `NP_ISA` is unset: the AVX2 bodies on hosts that
+/// have AVX2, the portable bodies otherwise.
 fn default_isa() -> KernelIsa {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         return KernelIsa::Avx2I8;
     }
-    KernelIsa::ScalarI16
+    KernelIsa::Scalar
 }
 
 /// The process-wide kernel ISA: `NP_ISA` when set to `scalar|avx2-i8`,
-/// otherwise the raw-i8 AVX2 kernel on hosts that have AVX2 and the
-/// scalar i16 baseline elsewhere.
+/// otherwise the AVX2 bodies on hosts that have AVX2 and the portable
+/// bodies elsewhere. Its [`KernelIsa::as_str`] spelling is what profiling
+/// artifacts record as the kernel configuration they measured.
 /// Cached; a misparse warns once through the np-trace facade and falls
 /// back to the default, like `NP_THREADS`.
 pub fn kernel_isa() -> KernelIsa {
@@ -525,13 +260,12 @@ pub(crate) fn simd_enabled() -> bool {
 // ---------------------------------------------------------------------------
 
 /// Packs a `C_out x patch` row-major i8 weight matrix for
-/// [`qconv_panels_i8_into`]: rows stay i8 (half the bytes of
-/// [`pack_conv_panels`]) at [`patch_stride`] spacing with zero tail
-/// lanes, and the row count is padded up to a whole number of [`MR`]-row
-/// panels of zero filters. The i8 kernel *broadcasts* weight pairs from
-/// these row-major rows (the column structure lives in the u8 im2row
-/// blocks), so no in-panel interleaving is needed. Runs once at
-/// program-compile time.
+/// [`qconv_panels_i8_into`]: rows stay i8 at [`patch_stride`] spacing
+/// with a zero tail lane for an odd patch, and the row count is padded
+/// up to a whole number of [`MR`]-row panels of zero filters. The i8
+/// kernel *broadcasts* weight pairs from these row-major rows (the
+/// column structure lives in the u8 im2row blocks), so no in-panel
+/// interleaving is needed. Runs once at program-compile time.
 pub fn pack_conv_panels_i8(weight: &[i8], out_channels: usize, patch: usize) -> Vec<i8> {
     assert_eq!(weight.len(), out_channels * patch, "weight size");
     let ps = patch_stride(patch);
@@ -554,7 +288,7 @@ pub fn pack_conv_panels_i8(weight: &[i8], out_channels: usize, patch: usize) -> 
 /// sum — the same zero-point trick the linear step already uses, extended
 /// by the constant 128 offset. All arithmetic wraps: i32 accumulation is
 /// order-independent mod 2^32, so the folded path is bit-identical to the
-/// i16 path even when intermediate sums transiently overflow.
+/// centered sum even when intermediate sums transiently overflow.
 pub fn fold_offset_bias(
     bias: &[i32],
     weight: &[i8],
@@ -582,19 +316,21 @@ pub fn fold_offset_bias(
 /// Lowered raw-int8 convolution of `frames` frames over
 /// [`pack_conv_panels_i8`] panels and a [`crate::lowering::qim2row_u8_into`]
 /// buffer: `out[f][c][col] = requant(folded_bias[c] + Σ_r panels[c][r] ·
-/// u[f][r][col])` with the fused ReLU clamp — bit-identical to
-/// [`qconv_panels_into`] on the i16 encoding of the same activations (see
-/// [`fold_offset_bias`]).
+/// u[f][r][col])` with the fused ReLU clamp — bit-identical to the
+/// centered dot `bias[c] + Σ_r w·(x − in_zp)` (see [`fold_offset_bias`])
+/// followed by [`requantize_to_i8`](crate::requant::requantize_to_i8).
 ///
 /// Tiles are [`MR`] filter rows × [`NR_I8`] columns: under AVX2 each
 /// k-pair is one 32-byte load of 16 interleaved column pairs, widened in
 /// register and reduced with `pmaddwd` into 8 i32 accumulator vectors,
-/// with a fully vectorized requantize epilogue. The frames are lowered
+/// with a fully vectorized requantize epilogue; the portable body runs the
+/// same tile as i16 pair sums. The frames are lowered
 /// per-frame blocked and the output is NCHW. Each weight panel is
 /// streamed once per [`PIXEL_BLOCK`]-column group of the *whole batch*,
 /// and the 16-column blocks give the skinny GEMV-shaped layers real
-/// column parallelism. Chunking follows [`qconv_panels_into`]'s, so
-/// results are bit-exact at any pool width and any `frames`.
+/// column parallelism. One frame is chunked over whole channel panels,
+/// several frames over whole frames, so results are bit-exact at any pool
+/// width and any `frames`.
 ///
 /// # Panics
 ///
@@ -712,30 +448,31 @@ fn dispatch_i8(a: &I8ChunkArgs<'_>, chunk: &mut [i8], use_simd: bool) {
     i8_chunk_scalar(a, chunk);
 }
 
-/// One scalar MR×NR_I8 tile over a column block: `acc[m][c]` accumulates
-/// row `m`'s dot with column `c`, consuming the block's interleaved
-/// row pairs in ascending order. Wrapping adds keep debug builds panic-free
-/// when the offset-binary intermediate transiently exceeds i32 (the final
-/// value is exact mod 2^32, which is all two's-complement release
-/// arithmetic — and the i16 reference — observes).
-#[inline(always)]
+/// One portable MR×NR_I8 tile over a column block: `acc[m][c]`
+/// accumulates row `m`'s dot with column `c`, consuming the block's
+/// interleaved row pairs in ascending order. Each k-pair's 32 bytes are
+/// widened to i16 once, and every accumulator takes `x[2c]·w0 +
+/// x[2c+1]·w1` as one i32 pair sum. Each product is exact in i16 (`u ≤
+/// 255`, `|w| ≤ 128`), so it is a native 8-lane i16 multiply at the
+/// baseline ISA; the same sum written with i32 products measured about
+/// 2× slower, and inlining the tile into its chunk loop 1–13% slower.
+/// Wrapping adds keep debug builds panic-free when the offset-binary
+/// accumulator transiently exceeds i32 (the final value is exact mod
+/// 2^32, which is all two's-complement release arithmetic observes).
+#[inline(never)]
 fn i8_tile_scalar(w: [&[i8]; MR], blk: &[u8]) -> [[i32; NR_I8]; MR] {
-    let [w0, w1, w2, w3] = w;
-    let ps = w0.len();
+    let ps = w[0].len();
     let mut acc = [[0i32; NR_I8]; MR];
     for kp in 0..ps / 2 {
-        let pair = &blk[kp * 2 * NR_I8..(kp + 1) * 2 * NR_I8];
-        let wp = [
-            [w0[2 * kp] as i32, w0[2 * kp + 1] as i32],
-            [w1[2 * kp] as i32, w1[2 * kp + 1] as i32],
-            [w2[2 * kp] as i32, w2[2 * kp + 1] as i32],
-            [w3[2 * kp] as i32, w3[2 * kp + 1] as i32],
-        ];
-        for (am, wm) in acc.iter_mut().zip(wp.iter()) {
-            for (c, a) in am.iter_mut().enumerate() {
-                *a = a
-                    .wrapping_add(wm[0] * pair[2 * c] as i32)
-                    .wrapping_add(wm[1] * pair[2 * c + 1] as i32);
+        let mut x = [0i16; 2 * NR_I8];
+        for (d, &u) in x.iter_mut().zip(&blk[kp * 2 * NR_I8..(kp + 1) * 2 * NR_I8]) {
+            *d = u as i16;
+        }
+        for (am, wm) in acc.iter_mut().zip(w) {
+            let (w0, w1) = (wm[2 * kp] as i16, wm[2 * kp + 1] as i16);
+            for (a, xc) in am.iter_mut().zip(x.chunks_exact(2)) {
+                let pair = xc[0].wrapping_mul(w0) as i32 + xc[1].wrapping_mul(w1) as i32;
+                *a = a.wrapping_add(pair);
             }
         }
     }
@@ -1084,152 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn microkernel_matches_qgemm_row_on_ragged_shapes() {
-        // Every combination of ragged channel count (% MR), odd pixel
-        // count (% NR), and unpadded patch (% lane width) plus the aligned
-        // cases, across pool widths.
-        for (out_channels, patch, cols) in [
-            (1usize, 1usize, 1usize),
-            (3, 7, 5),
-            (4, 8, 6),
-            (5, 9, 7),
-            (6, 24, 33),
-            (11, 30, 233),
-            (8, 16, 64),
-        ] {
-            let mut s = 7u64;
-            let mut rnd = move || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (s >> 56) as i8
-            };
-            let weight: Vec<i8> = (0..out_channels * patch).map(|_| rnd()).collect();
-            let bias: Vec<i32> = (0..out_channels as i32).map(|i| i * 31 - 50).collect();
-            let mults: Vec<FixedMultiplier> = (0..out_channels)
-                .map(|i| FixedMultiplier::from_real(0.001 + 0.01 * i as f32))
-                .collect();
-            // Random centered activations in the patch-major layout, plus
-            // the same values transposed to row-major for the reference.
-            let ps = patch_stride(patch);
-            let mut low = vec![0i16; cols * ps];
-            let mut low_cm = vec![0i16; patch * cols];
-            for col in 0..cols {
-                for r in 0..patch {
-                    let v = rnd() as i16;
-                    low[col * ps + r] = v;
-                    low_cm[r * cols + col] = v;
-                }
-            }
-            let want = reference(
-                &weight,
-                out_channels,
-                patch,
-                &low_cm,
-                &bias,
-                &mults,
-                -5,
-                true,
-                cols,
-            );
-            let packed = pack_conv_panels(&weight, out_channels, patch);
-            for threads in [1usize, 2, 3, 8] {
-                let mut got = vec![0i8; out_channels * cols];
-                qconv_panels_into(
-                    Pool::new(threads),
-                    &packed,
-                    patch,
-                    &low,
-                    &bias,
-                    &mults,
-                    -5,
-                    true,
-                    1,
-                    &mut got,
-                );
-                assert_eq!(
-                    got, want,
-                    "c_out {out_channels} patch {patch} cols {cols} t{threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_microkernel_equals_per_frame_runs() {
-        // The batched sweep must reproduce B independent single-frame
-        // kernel calls bit-for-bit, including ragged channel counts, odd
-        // per-frame pixel counts (so NR tiles straddle frame boundaries),
-        // and batch sizes around the parallel chunking.
-        for (out_channels, patch, cols, batch) in [
-            (1usize, 1usize, 1usize, 1usize),
-            (3, 7, 5, 2),
-            (5, 9, 7, 3),
-            (6, 24, 33, 4),
-            (11, 30, 41, 8),
-        ] {
-            let mut s = 29u64;
-            let mut rnd = move || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (s >> 56) as i8
-            };
-            let weight: Vec<i8> = (0..out_channels * patch).map(|_| rnd()).collect();
-            let bias: Vec<i32> = (0..out_channels as i32).map(|i| i * 17 - 40).collect();
-            let mults: Vec<FixedMultiplier> = (0..out_channels)
-                .map(|i| FixedMultiplier::from_real(0.002 + 0.008 * i as f32))
-                .collect();
-            let ps = patch_stride(patch);
-            let low: Vec<i16> = (0..batch * cols * ps)
-                .map(|i| if i % ps < patch { rnd() as i16 } else { 0 })
-                .collect();
-            let packed = pack_conv_panels(&weight, out_channels, patch);
-
-            // Reference: the single-frame kernel, frame by frame.
-            let mut want = vec![0i8; batch * out_channels * cols];
-            for b in 0..batch {
-                qconv_panels_into(
-                    Pool::serial(),
-                    &packed,
-                    patch,
-                    &low[b * cols * ps..(b + 1) * cols * ps],
-                    &bias,
-                    &mults,
-                    3,
-                    true,
-                    1,
-                    &mut want[b * out_channels * cols..(b + 1) * out_channels * cols],
-                );
-            }
-            for threads in [1usize, 2, 3, 8] {
-                let mut got = vec![0i8; batch * out_channels * cols];
-                qconv_panels_into(
-                    Pool::new(threads),
-                    &packed,
-                    patch,
-                    &low,
-                    &bias,
-                    &mults,
-                    3,
-                    true,
-                    batch,
-                    &mut got,
-                );
-                assert_eq!(
-                    got, want,
-                    "c_out {out_channels} patch {patch} cols {cols} b{batch} t{threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packing_pads_channels_to_whole_panels() {
-        let weight = vec![1i8; 5 * 3];
-        let packed = pack_conv_panels(&weight, 5, 3);
-        let ps = patch_stride(3);
-        assert_eq!(packed.len(), 8 * ps); // 5 channels -> 2 panels of 4
-        assert!(packed[5 * ps..].iter().all(|&v| v == 0));
-    }
-
-    #[test]
     fn i8_packing_pads_channels_and_tail_lanes() {
         let weight = vec![1i8; 5 * 3];
         let packed = pack_conv_panels_i8(&weight, 5, 3);
@@ -1245,19 +836,14 @@ mod tests {
     #[test]
     fn np_isa_parser_accepts_the_documented_spellings() {
         assert_eq!(parse_np_isa(None), Ok(None));
-        assert_eq!(parse_np_isa(Some("scalar")), Ok(Some(KernelIsa::ScalarI16)));
-        assert_eq!(
-            parse_np_isa(Some(" scalar-i16 ")),
-            Ok(Some(KernelIsa::ScalarI16))
-        );
+        assert_eq!(parse_np_isa(Some(" scalar ")), Ok(Some(KernelIsa::Scalar)));
         assert_eq!(parse_np_isa(Some("avx2-i8")), Ok(Some(KernelIsa::Avx2I8)));
-        // Retired pairings fall back to the default like any misspelling.
-        for bad in ["scalar-i8", "avx2-i16", "sse9", ""] {
+        // Retired spellings fall back to the default like any misspelling.
+        for bad in ["scalar-i16", "scalar-i8", "avx2-i16", "sse9", ""] {
             assert_eq!(parse_np_isa(Some(bad)), Err(bad.to_string()));
         }
-        for isa in [KernelIsa::ScalarI16, KernelIsa::Avx2I8] {
+        for isa in [KernelIsa::Scalar, KernelIsa::Avx2I8] {
             assert_eq!(parse_np_isa(Some(isa.as_str())), Ok(Some(isa)));
-            assert_eq!(isa.packs_i8(), isa.as_str().ends_with("i8"));
         }
     }
 
@@ -1273,8 +859,8 @@ mod tests {
 
     /// Builds the offset-binary u8 column-block layout directly from raw
     /// activations — an independent statement of the format the kernel
-    /// consumes (the production writer is pinned against the i16 writer
-    /// in `lowering::tests`).
+    /// consumes (the production writer is pinned against a direct tap
+    /// formula in `lowering::tests`).
     fn build_u8_lowered(vals: &[i8], cols: usize, patch: usize, in_zp: i32) -> Vec<u8> {
         let ps = patch_stride(patch);
         let mut low = vec![(in_zp + 128) as u8; cols.div_ceil(NR_I8) * NR_I8 * ps];
@@ -1290,9 +876,10 @@ mod tests {
     }
 
     #[test]
-    fn i8_kernel_matches_i16_reference_on_ragged_shapes() {
-        // Same ragged-shape table as the i16 test, swept across the
-        // adversarial zero points; scalar and (where the host allows)
+    fn i8_kernel_matches_qgemm_row_on_ragged_shapes() {
+        // Every combination of ragged channel count (% MR), ragged column
+        // count (% NR_I8) and odd patch, plus aligned cases, swept across
+        // the adversarial zero points; scalar and (where the host allows)
         // AVX2 bodies both pinned bit-exact against the qgemm_row
         // reference at several pool widths.
         for (out_channels, patch, cols) in [

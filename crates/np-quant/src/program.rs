@@ -13,13 +13,15 @@
 //! * every intermediate gets a byte size and a live range, and the
 //!   [`np_tensor::arena`] planner bin-packs them into one arena with
 //!   offset reuse (ping-pong for chains — exactly DORY's L2 layout);
-//! * conv weights are widened to i16 and packed into [`MR`]-row panels at
-//!   the padded [`patch_stride`] ([`pack_conv_panels`]), so execution is
-//!   the register-blocked [`qconv_panels_into`] microkernel over the
-//!   im2row matrix ([`qim2row_into`]) — the `SumDotp` structure PULP-NN
-//!   uses on GAP8, blocked MR×NR so eight accumulator chains share every
-//!   operand load — with the requantize fused in while the accumulators
-//!   are still in registers;
+//! * conv weights stay raw i8, packed into [`MR`]-row panels at the
+//!   pair-padded [`patch_stride`] ([`pack_conv_panels_i8`]) with the
+//!   input zero point folded into the bias ([`fold_offset_bias`]), so
+//!   execution is the register-blocked [`qconv_panels_i8_into`]
+//!   microkernel over the offset-binary u8 im2row buffer
+//!   ([`qim2row_u8_into`]) — the `SumDotp` structure PULP-NN uses on
+//!   GAP8, blocked 4×16 so every weight pair is shared by 16 columns —
+//!   with the requantize fused in while the accumulators are still in
+//!   registers;
 //! * depthwise steps run one tiled kernel for every kernel size, stride
 //!   and padding: each plane is copied once into a zero-bordered,
 //!   stride-phase-split tile of centered values, so every tap of a band
@@ -41,42 +43,21 @@
 //! a second plan at `max_batch ×` the bytes for multi-frame passes.
 //!
 //! [`MR`]: crate::microkernel::MR
+//! [`patch_stride`]: crate::lowering::patch_stride
 
 use crate::kernels::{
     qavg_pool_plane, qdepthwise_into, qmax_pool_plane, round_div, Depthwise, QConvGeometry,
     DW_BAND_CELLS,
 };
-use crate::lowering::{
-    assert_filter_fits, patch_stride, qim2row_into, qim2row_u8_into, u8_lowered_len, LOWER_TILE,
-};
+use crate::lowering::{assert_filter_fits, qim2row_u8_into, u8_lowered_len, LOWER_TILE};
 use crate::microkernel::{
-    fold_offset_bias, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_into,
-    qconv_panels_into, simd_enabled, KernelIsa,
+    fold_offset_bias, pack_conv_panels_i8, qconv_panels_i8_into, simd_enabled,
 };
 use crate::qnetwork::{QLayer, QuantizedNetwork};
 use crate::qparams::{fold_zero_point, QuantParams};
 use crate::requant::{requantize_to_i8, FixedMultiplier};
 use np_tensor::arena::{disjoint_pair, plan_arena_batched, BufferReq};
 use np_tensor::parallel::Pool;
-
-/// Compile-time weight format of a conv step, chosen by the program's
-/// [`KernelIsa`]. Both formats produce bit-identical outputs; they differ
-/// in packed footprint and in which register tile executes them.
-#[derive(Debug, Clone)]
-enum ConvWeights {
-    /// Pre-widened i16 filter rows at [`patch_stride`] spacing, padded to
-    /// whole microkernel panels (see [`pack_conv_panels`]) — the 4×2-tile
-    /// i16 path.
-    I16 { packed: Vec<i16>, bias: Vec<i32> },
-    /// Raw i8 filter rows at the same spacing
-    /// ([`pack_conv_panels_i8`], half the bytes) with the input
-    /// zero-point/weight-sum correction folded into the bias
-    /// ([`fold_offset_bias`]) — the 4×16-tile offset-binary u8 path.
-    I8 {
-        panels: Vec<i8>,
-        folded_bias: Vec<i32>,
-    },
-}
 
 /// One executable step. Buffers are referred to by id; the program maps
 /// ids to planner-assigned arena offsets.
@@ -87,7 +68,13 @@ enum Step {
         h: usize,
         w: usize,
         in_zp: i32,
-        weights: ConvWeights,
+        /// Raw i8 filter rows in
+        /// [`MR`](crate::microkernel::MR)-row panels
+        /// ([`pack_conv_panels_i8`]).
+        panels: Vec<i8>,
+        /// The bias with the input zero point and the offset-binary +128
+        /// folded in ([`fold_offset_bias`]).
+        folded_bias: Vec<i32>,
         mults: Vec<FixedMultiplier>,
         out_zp: i32,
         relu: bool,
@@ -255,17 +242,14 @@ impl Bufs {
 }
 
 /// Reusable execution scratch for [`QuantizedProgram`]: the planned
-/// activation arena plus the im2row buffer sized to the largest conv
+/// activation arena plus the u8 im2row buffer sized to the largest conv
 /// step. One scratch can serve several programs (e.g. the big and little
 /// members of an ensemble) — each run grows it to the required size once,
 /// after which execution never allocates.
 #[derive(Debug, Default)]
 pub struct QScratch {
     arena: Vec<i8>,
-    lowered: Vec<i16>,
-    /// Offset-binary u8 im2row buffer for i8-format conv steps; empty
-    /// for programs compiled to an i16 isa (and vice versa), so a
-    /// program only pays for the lowering format it uses.
+    /// Offset-binary u8 im2row buffer of the conv steps.
     lowered_u8: Vec<u8>,
     out_f32: Vec<f32>,
 }
@@ -304,7 +288,6 @@ impl QScratch {
         }
         for plan in std::iter::once(&program.unit).chain(&program.batch) {
             grow(&mut self.arena, plan.arena_len);
-            grow(&mut self.lowered, plan.lowered_len);
             grow(&mut self.lowered_u8, plan.lowered_u8_len);
         }
         grow(
@@ -317,7 +300,7 @@ impl QScratch {
     /// arena + im2row matrix + dequantized output) — the steady-state
     /// working-set counterpart of [`QuantizedProgram::arena_bytes`].
     pub fn bytes(&self) -> usize {
-        self.arena.len() + 2 * self.lowered.len() + self.lowered_u8.len() + 4 * self.out_f32.len()
+        self.arena.len() + self.lowered_u8.len() + 4 * self.out_f32.len()
     }
 }
 
@@ -336,10 +319,8 @@ struct Plan {
     /// Arena offset of each buffer's `max_batch × size` region.
     buf_offsets: Vec<usize>,
     arena_len: usize,
-    lowered_len: usize,
-    /// Size of the offset-binary u8 im2row buffer (i8-format convs);
-    /// zero when every conv packed i16, so the unused format costs no
-    /// scratch bytes.
+    /// Size of the offset-binary u8 im2row buffer: the largest conv
+    /// step's, times `max_batch`.
     lowered_u8_len: usize,
     /// One np-trace span per step, registered at compile time so the
     /// executor's hot path never touches the span registry. The unit
@@ -362,7 +343,6 @@ impl Plan {
         steps: &[Step],
         reqs: &[BufferReq],
         max_batch: usize,
-        lowered_len: usize,
         lowered_u8_len: usize,
     ) -> Plan {
         let arena = plan_arena_batched(reqs, max_batch);
@@ -379,7 +359,6 @@ impl Plan {
             max_batch,
             buf_offsets: arena.offsets,
             arena_len: arena.arena_bytes,
-            lowered_len: lowered_len * max_batch,
             lowered_u8_len: lowered_u8_len * max_batch,
             step_spans: steps
                 .iter()
@@ -408,8 +387,6 @@ pub struct QuantizedProgram {
     /// Arena bytes each step reads + writes per frame, precomputed for
     /// telemetry.
     step_bytes: Vec<u64>,
-    /// The kernel isa the program's weights were packed for.
-    isa: KernelIsa,
     /// The per-frame plan every single-frame pass runs on.
     unit: Plan,
     /// Present iff compiled with [`QuantizedNetwork::compile_batched`]
@@ -420,21 +397,20 @@ pub struct QuantizedProgram {
 
 impl QuantizedProgram {
     /// The one constructor behind [`QuantizedNetwork`]'s `compile*`
-    /// wrappers: compiles `net` for inputs of shape `chw` with conv
-    /// weights packed for `isa`, plus a batch plan when `max_batch > 1`.
+    /// wrappers: compiles `net` for inputs of shape `chw`, plus a batch
+    /// plan when `max_batch > 1`.
     /// `traced` registers the plans' np-trace spans; a throwaway
     /// per-call program passes `false` so the registry does not grow.
     ///
     /// # Panics
     ///
-    /// Panics if `max_batch == 0`, or if a depthwise filter, or a K×K conv
-    /// filter of the raw-i8 format, has a receptive field wider than its
-    /// kernel's stack tile ([`assert_filter_fits`]).
+    /// Panics if `max_batch == 0`, or if a depthwise or K×K conv filter
+    /// has a receptive field wider than its kernel's stack tile
+    /// ([`assert_filter_fits`]).
     pub(crate) fn compile_with(
         net: &QuantizedNetwork,
         chw: (usize, usize, usize),
         max_batch: usize,
-        isa: KernelIsa,
         traced: bool,
     ) -> Self {
         assert!(max_batch >= 1, "max_batch must be at least 1");
@@ -442,7 +418,6 @@ impl QuantizedProgram {
         let mut zp = net.input_params().zero_point;
         let mut bufs = Bufs::new(c * h * w);
         let mut steps = Vec::with_capacity(net.qlayers().len());
-        let mut lowered_len = 0usize;
         let mut lowered_u8_len = 0usize;
 
         for layer in net.qlayers() {
@@ -458,33 +433,16 @@ impl QuantizedProgram {
                     let (oh, ow) = geo.out_hw(h, w);
                     let cols = oh * ow;
                     let patch = geo.in_channels * geo.kernel * geo.kernel;
-                    let weights = if isa.packs_i8() {
-                        assert_filter_fits(geo.kernel, geo.stride, LOWER_TILE);
-                        lowered_u8_len = lowered_u8_len.max(u8_lowered_len(cols, patch));
-                        ConvWeights::I8 {
-                            panels: pack_conv_panels_i8(weight, geo.out_channels, patch),
-                            folded_bias: fold_offset_bias(
-                                bias,
-                                weight,
-                                geo.out_channels,
-                                patch,
-                                zp,
-                            ),
-                        }
-                    } else {
-                        lowered_len = lowered_len.max(cols * patch_stride(patch));
-                        ConvWeights::I16 {
-                            packed: pack_conv_panels(weight, geo.out_channels, patch),
-                            bias: bias.clone(),
-                        }
-                    };
+                    assert_filter_fits(geo.kernel, geo.stride, LOWER_TILE);
+                    lowered_u8_len = lowered_u8_len.max(u8_lowered_len(cols, patch));
                     let (input, output) = bufs.advance(geo.out_channels * cols);
                     steps.push(Step::Conv {
                         geo: *geo,
                         h,
                         w,
                         in_zp: zp,
-                        weights,
+                        panels: pack_conv_panels_i8(weight, geo.out_channels, patch),
+                        folded_bias: fold_offset_bias(bias, weight, geo.out_channels, patch, zp),
                         mults: mults.clone(),
                         out_zp: out.zero_point,
                         relu: *relu,
@@ -629,9 +587,9 @@ impl QuantizedProgram {
             .map(|(&bytes, (&f, &l))| BufferReq::new(bytes, f, l))
             .collect();
         let name = traced.then_some(net.name());
-        let unit = Plan::new(name, &steps, &reqs, 1, lowered_len, lowered_u8_len);
-        let batch = (max_batch > 1)
-            .then(|| Plan::new(name, &steps, &reqs, max_batch, lowered_len, lowered_u8_len));
+        let unit = Plan::new(name, &steps, &reqs, 1, lowered_u8_len);
+        let batch =
+            (max_batch > 1).then(|| Plan::new(name, &steps, &reqs, max_batch, lowered_u8_len));
         let step_bytes = steps.iter().map(|s| s.io_bytes(&bufs.sizes)).collect();
 
         QuantizedProgram {
@@ -644,7 +602,6 @@ impl QuantizedProgram {
             buf_sizes: bufs.sizes,
             output_buf: bufs.cur,
             step_bytes,
-            isa,
             unit,
             batch,
         }
@@ -691,14 +648,6 @@ impl QuantizedProgram {
     /// every intermediate buffer, with no offset reuse.
     pub fn naive_activation_bytes(&self) -> usize {
         self.buf_sizes.iter().sum()
-    }
-
-    /// The kernel isa the program was compiled for (weight packing and
-    /// executor tile selection) — recorded so profiling artifacts can
-    /// attribute measurements to the kernel configuration that produced
-    /// them.
-    pub fn isa(&self) -> KernelIsa {
-        self.isa
     }
 
     /// Per-step workload descriptors, index-aligned with the program's
@@ -803,13 +752,11 @@ impl QuantizedProgram {
         self.steps
             .iter()
             .map(|s| match s {
-                Step::Conv { weights, .. } => match weights {
-                    ConvWeights::I16 { packed, bias } => 2 * packed.len() + 4 * bias.len(),
-                    ConvWeights::I8 {
-                        panels,
-                        folded_bias,
-                    } => panels.len() + 4 * folded_bias.len(),
-                },
+                Step::Conv {
+                    panels,
+                    folded_bias,
+                    ..
+                } => panels.len() + 4 * folded_bias.len(),
                 Step::Depthwise { weight, bias, .. } => weight.len() + 4 * bias.len(),
                 Step::Linear {
                     weight,
@@ -979,10 +926,7 @@ impl QuantizedProgram {
     /// writes into preallocated rings).
     fn exec_steps(&self, pool: Pool, scratch: &mut QScratch, plan: &Plan, batch: usize) {
         let QScratch {
-            arena,
-            lowered,
-            lowered_u8,
-            ..
+            arena, lowered_u8, ..
         } = scratch;
         let buf = |id: usize| self.buf_at(plan, id, batch);
         let simd = simd_enabled();
@@ -995,7 +939,8 @@ impl QuantizedProgram {
                     h,
                     w,
                     in_zp,
-                    weights,
+                    panels,
+                    folded_bias,
                     mults,
                     out_zp,
                     relu,
@@ -1008,59 +953,28 @@ impl QuantizedProgram {
                     let (in_off, in_len) = buf(*input);
                     let (out_off, out_len) = buf(*output);
                     let pool = pool.for_work(batch * geo.out_channels * patch * cols);
-                    match weights {
-                        ConvWeights::I16 { packed, bias } => {
-                            let lowered = &mut lowered[..batch * cols * patch_stride(patch)];
-                            qim2row_into(
-                                &arena[in_off..in_off + in_len],
-                                batch,
-                                *h,
-                                *w,
-                                *in_zp,
-                                *geo,
-                                lowered,
-                            );
-                            qconv_panels_into(
-                                pool,
-                                packed,
-                                patch,
-                                lowered,
-                                bias,
-                                mults,
-                                *out_zp,
-                                *relu,
-                                batch,
-                                &mut arena[out_off..out_off + out_len],
-                            );
-                        }
-                        ConvWeights::I8 {
-                            panels,
-                            folded_bias,
-                        } => {
-                            let lowered = &mut lowered_u8[..batch * u8_lowered_len(cols, patch)];
-                            qim2row_u8_into(
-                                &arena[in_off..in_off + in_len],
-                                batch,
-                                *h,
-                                *w,
-                                *in_zp,
-                                *geo,
-                                lowered,
-                            );
-                            qconv_panels_i8_into(
-                                pool,
-                                panels,
-                                patch,
-                                lowered,
-                                folded_bias,
-                                mults,
-                                *out_zp,
-                                *relu,
-                                batch,
-                                &mut arena[out_off..out_off + out_len],
-                            );
-                        }
-                    }
+                    let lowered = &mut lowered_u8[..batch * u8_lowered_len(cols, patch)];
+                    qim2row_u8_into(
+                        &arena[in_off..in_off + in_len],
+                        batch,
+                        *h,
+                        *w,
+                        *in_zp,
+                        *geo,
+                        lowered,
+                    );
+                    qconv_panels_i8_into(
+                        pool,
+                        panels,
+                        patch,
+                        lowered,
+                        folded_bias,
+                        mults,
+                        *out_zp,
+                        *relu,
+                        batch,
+                        &mut arena[out_off..out_off + out_len],
+                    );
                 }
                 Step::Depthwise {
                     channels,
@@ -1366,27 +1280,22 @@ mod tests {
     #[test]
     fn filter_size_limits_are_checked_at_compile_time() {
         let input: Vec<i8> = (0..32).map(|i| (i * 7 % 23) as i8 - 11).collect();
-        for (kernel, depthwise, isa) in [
-            (45, true, KernelIsa::ScalarI16),
-            (64, false, KernelIsa::Avx2I8),
-        ] {
+        for (kernel, depthwise) in [(45, true), (64, false)] {
             let qnet = wide_filter_net(kernel, depthwise);
-            let program = qnet.compile_for_isa((2, 4, 4), isa);
+            let program = qnet.compile((2, 4, 4));
             let mut scratch = QScratch::for_program(&program);
             let (want, _) = qnet.run_int(&input, (2, 4, 4));
             let (got, _) = program.run_int_prepacked(Pool::serial(), &mut scratch, &input);
             assert_eq!(got, &want[..], "kernel {kernel}");
 
             let wider = wide_filter_net(kernel + 1, depthwise);
-            let err = std::panic::catch_unwind(|| wider.compile_for_isa((2, 4, 4), isa))
+            let err = std::panic::catch_unwind(|| wider.compile((2, 4, 4)))
                 .expect_err("a filter past the tile must not compile");
             let msg = err
                 .downcast_ref::<String>()
                 .expect("formatted panic message");
             assert!(msg.contains("exceeds the"), "{msg}");
         }
-        // The i16 conv lowering has no tile, so it takes any kernel.
-        wide_filter_net(65, false).compile_for_isa((2, 4, 4), KernelIsa::ScalarI16);
     }
 
     #[test]
@@ -1417,8 +1326,6 @@ mod tests {
         // Linear: in=6*4*4, out=3.
         let lin = loads.iter().find(|l| l.kind == "linear").unwrap();
         assert_eq!(lin.macs, (6 * 4 * 4 * 3) as u64);
-        // The compiled isa is recorded.
-        let _ = program.isa();
     }
 
     #[test]

@@ -1,22 +1,21 @@
 //! Property-based parity suites for the integer kernels.
 //!
-//! The program's fast kernels — the lowered conv panels in both weight
-//! formats, the tiled depthwise kernel and the pooling plane bodies — must
-//! agree with the direct reference loops *exactly* (integer arithmetic has no tolerance to hide
-//! behind) across random geometries including stride and padding edge
-//! cases, and across every pool width. Whole random networks are checked
+//! The program's fast kernels — the lowered raw-i8 conv panels, the tiled
+//! depthwise kernel and the pooling plane bodies — must agree with the
+//! direct reference loops *exactly* (integer arithmetic has no tolerance
+//! to hide behind) across random geometries including stride and padding
+//! edge cases, and across every pool width. Whole random networks are checked
 //! end to end against the scalar oracle [`QuantizedNetwork::run_int`].
 
 use crate::kernels::{
     qavg_pool2d, qavg_pool_plane, qconv2d_reference, qdepthwise_conv2d_reference, qdepthwise_impl,
     qmax_pool2d, qmax_pool_plane, Depthwise, QConvGeometry,
 };
-use crate::lowering::{patch_stride, qgemm_row, qim2row_into, qim2row_u8_into, u8_lowered_len};
+use crate::lowering::{patch_stride, qgemm_row, qim2row_u8_into, u8_lowered_len};
 #[cfg(target_arch = "x86_64")]
 use crate::microkernel::avx2_available;
 use crate::microkernel::{
-    fold_offset_bias, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_impl,
-    qconv_panels_i8_into, qconv_panels_into, KernelIsa, NR_I8,
+    fold_offset_bias, pack_conv_panels_i8, qconv_panels_i8_impl, qconv_panels_i8_into, NR_I8,
 };
 use crate::program::QScratch;
 use crate::qnetwork::QuantizedNetwork;
@@ -59,9 +58,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The compiled program's conv step against the direct six-loop
-    /// reference: im2row lowering (i16 and offset-binary u8), filter
-    /// packing and the panel kernel of each weight format, at random
-    /// stride and padding and at several pool widths.
+    /// reference: offset-binary u8 im2row lowering, raw-i8 filter packing,
+    /// the bias fold and the panel kernel, at random stride and padding
+    /// and at several pool widths.
     #[test]
     fn lowered_qconv2d_equals_reference_exactly(
         in_channels in 1usize..4,
@@ -86,93 +85,29 @@ proptest! {
         let reference =
             qconv2d_reference(&input, h, w, in_zp, geo, &weight, &bias, &mults, out_zp, relu);
 
-        // The program's conv step, done by hand in both weight formats:
-        // lower the frame, pack the filters, run the panel kernel.
+        // The program's conv step, done by hand: lower the frame, pack
+        // the filters, fold the bias, run the panel kernel.
         let patch = in_channels * kernel * kernel;
         let (oh, ow) = geo.out_hw(h, w);
         let cols = oh * ow;
-        let mut low16 = vec![0i16; cols * patch_stride(patch)];
-        qim2row_into(&input, 1, h, w, in_zp, geo, &mut low16);
-        let packed16 = pack_conv_panels(&weight, out_channels, patch);
         let mut low8 = vec![0u8; u8_lowered_len(cols, patch)];
         qim2row_u8_into(&input, 1, h, w, in_zp, geo, &mut low8);
         let packed8 = pack_conv_panels_i8(&weight, out_channels, patch);
         let folded = fold_offset_bias(&bias, &weight, out_channels, patch, in_zp);
         for threads in [1usize, 2, 8] {
-            let mut got16 = vec![0i8; out_channels * cols];
-            qconv_panels_into(
-                Pool::new(threads),
-                &packed16, patch, &low16, &bias, &mults, out_zp, relu, 1, &mut got16,
-            );
-            prop_assert_eq!(&got16, &reference, "i16, threads {}", threads);
             let mut got8 = vec![0i8; out_channels * cols];
             qconv_panels_i8_into(
                 Pool::new(threads),
                 &packed8, patch, &low8, &folded, &mults, out_zp, relu, 1, &mut got8,
             );
-            prop_assert_eq!(&got8, &reference, "i8, threads {}", threads);
+            prop_assert_eq!(&got8, &reference, "threads {}", threads);
         }
     }
 
-    /// The register-blocked MR×NR microkernel against per-channel
-    /// [`qgemm_row`] + requantize, at deliberately ragged shapes: the drawn
-    /// ranges cover C_out % MR != 0, pixel counts % NR != 0, and patches
-    /// that are not a multiple of the 8-lane pad — plus every pool width an
-    /// `NP_THREADS=1..8` run would resolve to.
-    #[test]
-    fn microkernel_matches_qgemm_row_at_ragged_shapes(
-        out_channels in 1usize..13,
-        cols in 1usize..48,
-        patch in 1usize..36,
-        out_zp in -20i32..20,
-        relu_sel in 0u8..2,
-        seed in 0u64..1_000_000,
-    ) {
-        let relu = relu_sel == 1;
-        let weight = seeded_i8("mk-w", seed, out_channels * patch);
-        let bias = seeded_bias("mk-b", seed, out_channels);
-        let mults = seeded_mults("mk-m", seed, out_channels);
-        // The same centered activations in both layouts: patch-major with
-        // zero tail lanes for the microkernel, row-major for the reference.
-        let vals = seeded_i8("mk-x", seed, cols * patch);
-        let ps = patch_stride(patch);
-        let mut low = vec![0i16; cols * ps];
-        let mut low_cm = vec![0i16; patch * cols];
-        for col in 0..cols {
-            for r in 0..patch {
-                let v = vals[col * patch + r] as i16;
-                low[col * ps + r] = v;
-                low_cm[r * cols + col] = v;
-            }
-        }
-
-        let mut want = vec![0i8; out_channels * cols];
-        let mut acc = vec![0i32; cols];
-        for co in 0..out_channels {
-            qgemm_row(&weight[co * patch..(co + 1) * patch], &low_cm, bias[co], &mut acc);
-            for (o, &a) in want[co * cols..(co + 1) * cols].iter_mut().zip(acc.iter()) {
-                let q = requantize_to_i8(a, mults[co], out_zp);
-                *o = if relu && (q as i32) < out_zp {
-                    out_zp.clamp(-128, 127) as i8
-                } else {
-                    q
-                };
-            }
-        }
-
-        let packed = pack_conv_panels(&weight, out_channels, patch);
-        for threads in 1usize..=8 {
-            let mut got = vec![0i8; out_channels * cols];
-            qconv_panels_into(
-                Pool::new(threads),
-                &packed, patch, &low, &bias, &mults, out_zp, relu, 1, &mut got,
-            );
-            prop_assert_eq!(&got, &want, "threads {}", threads);
-        }
-    }
-
-    /// The raw-i8 offset-binary kernel against the scalar i16 reference
-    /// at adversarial quantization corners: input zero points drawn from
+    /// The raw-i8 offset-binary kernel against per-channel [`qgemm_row`] +
+    /// requantize over the centered activations, at deliberately ragged
+    /// shapes (C_out % MR != 0, columns % NR_I8 != 0, odd patches) and at
+    /// adversarial quantization corners: input zero points drawn from
     /// {−128, 0, 127} (plus an interior value), optionally all-negative
     /// weight rows (the worst case for the folded weight-sum
     /// correction), and requant multipliers optionally forced into
@@ -182,7 +117,7 @@ proptest! {
     /// the SIMD body forced off (the host-dispatched body is covered by
     /// the public entry).
     #[test]
-    fn i8_microkernel_matches_i16_reference_at_adversarial_corners(
+    fn i8_microkernel_matches_qgemm_row_at_adversarial_corners(
         out_channels in 1usize..13,
         cols in 1usize..48,
         patch in 1usize..36,
@@ -464,7 +399,8 @@ proptest! {
     /// channel counts are deliberately allowed to be ragged against the
     /// microkernel panel height, the drawn spatial sizes make the
     /// per-frame pixel count odd, and the depthwise layer is 3×3 or 5×5
-    /// at stride 1 or 2.
+    /// at stride 1 or 2. It runs the bodies `NP_ISA` selects, so a run
+    /// under `NP_ISA=scalar` covers the portable ones.
     #[test]
     fn run_int_batched_equals_independent_prepacked_runs(
         c1 in 1usize..6,
@@ -504,53 +440,6 @@ proptest! {
                     &mut scratch,
                     &inputs[..batch * frame_len],
                     batch,
-                );
-                prop_assert_eq!(got, &want[..], "batch {} threads {}", batch, threads);
-            }
-        }
-    }
-
-    /// A whole network compiled to the raw-i8 format against the same
-    /// network compiled to the scalar-i16 format and against the scalar
-    /// oracle `run_int`: bit-identical outputs across B ∈ {1, 2, 8} and
-    /// threads 1..=8, with the i8 program's packed weights strictly
-    /// smaller. This pins the full stack — u8 lowering, folded bias,
-    /// arena planning, pool steps, batched layout — not just the kernel.
-    #[test]
-    fn i8_program_equals_scalar_i16_program_across_batches(
-        c1 in 1usize..6,
-        c2 in 1usize..9,
-        kernel in 1usize..4,
-        stride in 1usize..3,
-        dw_kernel_sel in 0usize..2,
-        dw_stride in 1usize..3,
-        side in 8usize..13,
-        pool_sel in 0usize..3,
-        gap_sel in 0u8..2,
-        seed in 0u64..1_000_000,
-    ) {
-        let dw_kernel = [3, 5][dw_kernel_sel];
-        let (qnet, inputs, oracle) = random_case(
-            "isa-prop", c1, c2, kernel, stride, dw_kernel, dw_stride, side, pool_sel, gap_sel == 1,
-            seed,
-        );
-        let frame_len = side * side;
-        let p16 = qnet.compile_batched_for_isa((1, side, side), 8, KernelIsa::ScalarI16);
-        let p8 = qnet.compile_batched_for_isa((1, side, side), 8, KernelIsa::Avx2I8);
-        prop_assert!(p8.packed_weight_bytes() < p16.packed_weight_bytes());
-        let mut scratch = QScratch::for_programs(&[&p16, &p8]);
-
-        for batch in [1usize, 2, 8] {
-            let want = {
-                let (out, _) = p16.run_int_batched(
-                    Pool::serial(), &mut scratch, &inputs[..batch * frame_len], batch,
-                );
-                out.to_vec()
-            };
-            prop_assert_eq!(&want[..], &oracle[..want.len()], "i16 vs oracle, batch {}", batch);
-            for threads in 1usize..=8 {
-                let (got, _) = p8.run_int_batched(
-                    Pool::new(threads), &mut scratch, &inputs[..batch * frame_len], batch,
                 );
                 prop_assert_eq!(got, &want[..], "batch {} threads {}", batch, threads);
             }

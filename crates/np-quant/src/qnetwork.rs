@@ -6,7 +6,6 @@ use crate::kernels::{
     qavg_pool2d, qconv2d_reference, qdepthwise_conv2d_reference, qlinear, qmax_pool2d,
     QConvGeometry,
 };
-use crate::microkernel::{kernel_isa, KernelIsa};
 use crate::program::{QScratch, QuantizedProgram};
 use crate::qparams::QuantParams;
 use crate::requant::FixedMultiplier;
@@ -203,22 +202,22 @@ impl QuantizedNetwork {
     }
 
     /// Compiles this network for a fixed input shape into a
-    /// [`QuantizedProgram`]: weights pre-packed into im2col-ready panels
-    /// in the process-wide [`kernel_isa`] format, linear biases
+    /// [`QuantizedProgram`]: conv weights pre-packed into raw-i8 im2row
+    /// panels with their zero-point biases folded, linear biases
     /// zero-point-folded, and every intermediate assigned a static offset
     /// in one planned arena. The program's
     /// [`run_int_prepacked`](QuantizedProgram::run_int_prepacked)
     /// produces bit-identical outputs to [`Self::run_int`] without
-    /// allocating.
+    /// allocating, on whichever kernel bodies
+    /// [`kernel_isa`](crate::kernel_isa) selects.
     ///
     /// # Panics
     ///
     /// Panics if a filter is wider than its kernel's stack tile: a
-    /// depthwise kernel above 45 (44 at stride 2), or, in the raw-i8
-    /// format, a K×K conv kernel above 64. The other `compile*` entry
-    /// points share the limits.
+    /// depthwise kernel above 45 (44 at stride 2), or a K×K conv kernel
+    /// above 64. The other `compile*` entry points share the limits.
     pub fn compile(&self, chw: (usize, usize, usize)) -> QuantizedProgram {
-        QuantizedProgram::compile_with(self, chw, 1, kernel_isa(), true)
+        QuantizedProgram::compile_with(self, chw, 1, true)
     }
 
     /// [`Self::compile`] plus a cross-frame batch plan: the program also
@@ -231,26 +230,7 @@ impl QuantizedNetwork {
         chw: (usize, usize, usize),
         max_batch: usize,
     ) -> QuantizedProgram {
-        QuantizedProgram::compile_with(self, chw, max_batch, kernel_isa(), true)
-    }
-
-    /// [`Self::compile`] with an explicit kernel isa (weight format)
-    /// instead of the process-wide [`kernel_isa`] default — lets tests
-    /// and benchmarks pin the i16 and raw-i8 conv formats side by side in
-    /// one process regardless of `NP_ISA`.
-    pub fn compile_for_isa(&self, chw: (usize, usize, usize), isa: KernelIsa) -> QuantizedProgram {
-        QuantizedProgram::compile_with(self, chw, 1, isa, true)
-    }
-
-    /// [`Self::compile_batched`] with an explicit kernel isa; see
-    /// [`Self::compile_for_isa`].
-    pub fn compile_batched_for_isa(
-        &self,
-        chw: (usize, usize, usize),
-        max_batch: usize,
-        isa: KernelIsa,
-    ) -> QuantizedProgram {
-        QuantizedProgram::compile_with(self, chw, max_batch, isa, true)
+        QuantizedProgram::compile_with(self, chw, max_batch, true)
     }
 
     /// [`Self::compile`] wrapped in an [`std::sync::Arc`] so many
@@ -313,7 +293,7 @@ impl QuantizedNetwork {
         assert_eq!(d.len(), 4, "expected NCHW input");
         let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
         let per = c * h * w;
-        let program = QuantizedProgram::compile_with(self, (c, h, w), 1, kernel_isa(), false);
+        let program = QuantizedProgram::compile_with(self, (c, h, w), 1, false);
         let out_dim = program.output_len();
         let mut out = vec![0.0f32; n * out_dim];
         // Fills `rows`, the outputs of the images from `first` on.

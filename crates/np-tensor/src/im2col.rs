@@ -7,18 +7,6 @@
 
 use crate::shape::conv_out_dim;
 
-/// i16 lanes in one 16-byte SIMD register — the alignment quantum shared
-/// by every lowered quantized buffer in the workspace. The int8 runtime
-/// widens operands to i16 and pads each im2row patch to a whole number of
-/// these lanes so the microkernel's dot loops never need a scalar
-/// remainder: the pad lanes are zero on both sides of the product.
-pub const I16_LANES: usize = 8;
-
-/// Rounds `n` up to a whole number of [`I16_LANES`] lanes.
-pub const fn pad_to_i16_lanes(n: usize) -> usize {
-    n.div_ceil(I16_LANES) * I16_LANES
-}
-
 /// Geometry of an `im2col` lowering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Im2colSpec {
@@ -215,14 +203,5 @@ mod tests {
         let lhs: f32 = ax.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
         let rhs: f32 = x.iter().zip(aty.iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "adjoint mismatch {lhs} vs {rhs}");
-    }
-
-    #[test]
-    fn lane_padding_rounds_up_to_multiples() {
-        assert_eq!(pad_to_i16_lanes(0), 0);
-        assert_eq!(pad_to_i16_lanes(1), I16_LANES);
-        assert_eq!(pad_to_i16_lanes(I16_LANES), I16_LANES);
-        assert_eq!(pad_to_i16_lanes(I16_LANES + 1), 2 * I16_LANES);
-        assert_eq!(pad_to_i16_lanes(25), 32);
     }
 }

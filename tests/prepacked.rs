@@ -166,54 +166,3 @@ fn prepacked_is_bitwise_equal_on_dw_heavy_ragged_network() {
         }
     }
 }
-
-#[test]
-fn i8_and_i16_programs_are_bitwise_equal_on_zoo_networks() {
-    // The same quantized network compiled to the raw-i8 conv format and
-    // to the scalar-i16 format must agree bit-for-bit on every zoo
-    // network, per-frame and batched — and the i8 program's packed conv
-    // weights must actually be smaller (one byte per weight lane instead
-    // of two).
-    use nanopose::quant::KernelIsa;
-    let calib = frames(4, 9);
-    let (c, h, w) = PROXY_INPUT;
-    let frame_len = c * h * w;
-    for id in [ModelId::F1, ModelId::F2, ModelId::M10] {
-        let mut rng = SmallRng::seed(17);
-        let net = id.build_proxy(&mut rng);
-        let qnet = QuantizedNetwork::quantize(&net, &calib);
-        let p16 = qnet.compile_batched_for_isa(PROXY_INPUT, 4, KernelIsa::ScalarI16);
-        let p8 = qnet.compile_batched_for_isa(PROXY_INPUT, 4, KernelIsa::Avx2I8);
-        assert!(
-            p8.packed_weight_bytes() < p16.packed_weight_bytes(),
-            "{}: i8 packing must shrink the weights ({} vs {})",
-            id.name(),
-            p8.packed_weight_bytes(),
-            p16.packed_weight_bytes()
-        );
-        let mut scratch = QScratch::for_programs(&[&p16, &p8]);
-
-        let stream = frames(4, 4);
-        let q = qnet.input_params().quantize_slice(stream.as_slice());
-        for batch in [1usize, 2, 4] {
-            let want = {
-                let (out, _) = p16.run_int_batched(
-                    Pool::serial(),
-                    &mut scratch,
-                    &q[..batch * frame_len],
-                    batch,
-                );
-                out.to_vec()
-            };
-            for threads in THREADS {
-                let (got, _) = p8.run_int_batched(
-                    Pool::new(threads),
-                    &mut scratch,
-                    &q[..batch * frame_len],
-                    batch,
-                );
-                assert_eq!(got, &want[..], "{} b={batch} t={threads}", id.name());
-            }
-        }
-    }
-}

@@ -144,27 +144,6 @@ fn steady_state_frames_do_not_allocate() {
         assert_eq!(n, 0, "dw-heavy run_int_prepacked allocated in steady state");
     }
 
-    // --- Both conv weight formats, explicitly ----------------------------
-    // The programs above compile at the host-default kernel isa; pin the
-    // raw-i8 and i16 formats by name so the zero-alloc guarantee holds for
-    // whichever format the default did *not* pick on this host (the u8
-    // im2row staging buffer and the i16 one are reserved independently).
-    for isa in [
-        nanopose::quant::KernelIsa::ScalarI16,
-        nanopose::quant::KernelIsa::Avx2I8,
-    ] {
-        let iprogram = qnet.compile_for_isa(PROXY_INPUT, isa);
-        let mut iscratch = QScratch::for_program(&iprogram);
-        let _ = iprogram.run_int_prepacked(pool, &mut iscratch, &q);
-        for _ in 0..3 {
-            let (n, _) = allocs_during(|| {
-                let (out, _) = iprogram.run_int_prepacked(pool, &mut iscratch, &q);
-                out[0]
-            });
-            assert_eq!(n, 0, "{isa:?} run_int_prepacked allocated in steady state");
-        }
-    }
-
     // --- Batched steady state --------------------------------------------
     // The cross-frame batched pass shares every guarantee of the
     // per-frame one: after the scratch is warm, a whole B=8 group runs
