@@ -9,6 +9,8 @@
 //!    (`NP_THREADS`-style 1/2/4)?
 //! 3. How fast do the compiled program's depthwise and pooling steps run
 //!    at the M1.0 and F1 proxy shapes that dominate their profiles?
+//! 4. Does cross-frame batching keep its throughput, both in the panel
+//!    kernel and through whole F1 / F2 / M1.0 proxy programs?
 //!
 //! Numbers are measured on the machine that runs the binary. On a
 //! single-core container the threaded rows report the scheduling-overhead
@@ -29,6 +31,8 @@ use np_quant::{QScratch, QuantizedNetwork, QuantizedProgram};
 use np_tensor::matmul::matmul_acc_with;
 use np_tensor::parallel::Pool;
 use np_tensor::Tensor;
+use np_zoo::channels::PROXY_INPUT;
+use np_zoo::ModelId;
 use std::fmt::Write as _;
 use std::hint::black_box;
 
@@ -144,10 +148,14 @@ fn step_benches() -> Vec<StepBench> {
     ]
 }
 
-/// Frames processed per measurement in the batch sweep; every batch size
+/// Frames processed per measurement in the batch sweeps; every batch size
 /// divides it so each row does the same total work.
 const BATCH_FRAMES: usize = 8;
 const BATCH_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// The proxies of the whole-program batch sweep, built in this order
+/// from one seeded generator.
+const PROXIES: [ModelId; 3] = [ModelId::F1, ModelId::F2, ModelId::M10];
 
 const WARMUP: usize = 3;
 const REPS: usize = 30;
@@ -438,6 +446,65 @@ fn main() {
     }
     json.push_str("  ],\n");
 
+    // Cross-frame batching on whole compiled programs: the same
+    // BATCH_FRAMES frames through `run_int_batched` in groups of B (B=1
+    // runs the unit plan, as `run_int_prepacked` does). The depthwise
+    // stack, which batching cannot amortize, owns most of a proxy frame,
+    // so this curve is flatter than the panel sweep; its gate is no loss
+    // at B=8.
+    json.push_str("  \"program_batch_sweep\": [\n");
+    let (c, h, w) = PROXY_INPUT;
+    let frame_len = c * h * w;
+    let calib = Tensor::from_vec(&[4, c, h, w], pseudo_f32(4 * frame_len, 7));
+    let stream = pseudo_f32(BATCH_FRAMES * frame_len, 9);
+    let mut rng = SmallRng::seed(3);
+    let mut program_b8_speedups: Vec<(String, f64)> = Vec::new();
+    for (i, id) in PROXIES.iter().enumerate() {
+        let qnet = QuantizedNetwork::quantize(&id.build_proxy(&mut rng), &calib);
+        let program = qnet.compile_batched(PROXY_INPUT, BATCH_FRAMES);
+        let mut scratch = QScratch::for_program(&program);
+        let qs = qnet.input_params().quantize_slice(&stream);
+        // The batch sizes are the arms of the B=8-vs-B=1 gate below, so
+        // they are timed interleaved.
+        let sweep_ns = best_ns_interleaved(BATCH_SWEEP.len(), WARMUP, REPS, |arm| {
+            let b = BATCH_SWEEP[arm];
+            for group in qs.chunks_exact(b * frame_len) {
+                black_box(program.run_int_batched(
+                    Pool::serial(),
+                    &mut scratch,
+                    black_box(group),
+                    b,
+                ));
+            }
+        });
+        let mut rows = String::new();
+        for (&b, &ns) in BATCH_SWEEP.iter().zip(&sweep_ns) {
+            let speedup = sweep_ns[0] / ns;
+            if b == BATCH_FRAMES {
+                program_b8_speedups.push((id.name(), speedup));
+            }
+            let per_frame_ns = ns / BATCH_FRAMES as f64;
+            eprintln!(
+                "[bench_kernels] program {} B={b}: {per_frame_ns:.0} ns/frame \
+                 ({speedup:.2}x vs B=1)",
+                id.name()
+            );
+            let _ = writeln!(
+                rows,
+                "      {{\"batch\": {b}, \"per_frame_ns\": {per_frame_ns:.0}, \
+                 \"aggregate_speedup_vs_b1\": {speedup:.3}}}{}",
+                if b == BATCH_FRAMES { "" } else { "," },
+            );
+        }
+        let _ = writeln!(
+            json,
+            "    {{\"model\": \"{}\", \"frames\": {BATCH_FRAMES}, \"by_batch\": [\n{rows}    ]}}{}",
+            id.name(),
+            if i + 1 < PROXIES.len() { "," } else { "" },
+        );
+    }
+    json.push_str("  ],\n");
+
     // Compiled single-step programs, timed as interleaved arms so the rows
     // share the host's state.
     let mut steps = step_benches();
@@ -475,6 +542,12 @@ fn main() {
         assert!(
             *speedup > 0.95,
             "batched panel kernel lost throughput at B=8 on {label}: {speedup:.3}x"
+        );
+    }
+    for (model, speedup) in &program_b8_speedups {
+        assert!(
+            *speedup >= 0.95,
+            "run_int_batched lost aggregate throughput at B=8 vs B=1 on {model}: {speedup:.3}x"
         );
     }
     eprintln!("[bench_kernels] wrote {out_path}");

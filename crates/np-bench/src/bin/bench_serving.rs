@@ -1,35 +1,33 @@
-//! Multi-stream serving benchmark emitting `BENCH_serving.json`.
+//! Multi-stream serving benchmark.
 //!
 //! Drives the `np-serve` session-multiplexing server with simulated drone
 //! streams over the paper's D1 ensemble (F1 little, M1.0 big) and gates
 //! the properties the serving layer promises:
 //!
-//! 1. **Throughput** — N concurrent sessions multiplexed across one pool
-//!    vs the same N streams served back-to-back on isolated
-//!    [`FrameRunner`](np_adaptive::FrameRunner)s sharing the same packed programs. On a multi-core
-//!    host the multiplexed aggregate fps must be ≥ 1.5× sequential; on a
+//! 1. **Exactness** — every served per-session result stream must be
+//!    bit-identical to its isolated
+//!    [`FrameRunner`](np_adaptive::FrameRunner) baseline, even though
+//!    escalations coalesce into cross-session micro-batches.
+//! 2. **Throughput** — N concurrent sessions multiplexed across one pool
+//!    vs the same N streams served back-to-back on isolated runners
+//!    sharing the same packed programs. On a multi-core host the
+//!    multiplexed aggregate fps must be ≥ 1.5× sequential; on a
 //!    single-CPU box the gate relaxes to no-regression (≥ 0.9×), since
 //!    there is no parallelism to harvest — only scheduling overhead to
 //!    not pay.
-//! 2. **Exactness** — every served per-session result stream must be
-//!    bit-identical to its isolated FrameRunner baseline, even though
-//!    escalations coalesce into cross-session micro-batches.
 //! 3. **SLO** — under a seeded deterministic Poisson load at ~0.2 of
 //!    sequential capacity, served p99 latency (virtual clock advanced by
 //!    measured execution time) must stay within 2× the isolated
-//!    per-frame p99. The hard gate applies on multi-core hosts, where
+//!    per-frame p99. The gate applies on multi-core hosts, where
 //!    colliding arrivals run in parallel; on a single CPU collisions
 //!    necessarily serialize — each pileup adds a whole service time —
-//!    so the run records p99 against the limit without asserting.
-//! 4. **Zero allocation** — the steady-state submit/tick/commit loop on
-//!    a serial pool, including a retire/re-admit cycle, performs zero
-//!    heap allocations (counting global allocator).
+//!    so the run reports p99 against the limit without gating on it.
 //!
-//! Timing fields use the `_us` suffix (neutral in `bench_compare`);
-//! `aggregate_fps` / `speedup_vs_sequential` are direction-gated, and
-//! the checked-in baseline is regenerated on the reference box.
+//! Every gate is evaluated and its verdict printed; the process exits
+//! non-zero naming each gate that failed. The steady-state serving loop's
+//! zero-allocation guarantee is pinned by `tests/zero_alloc.rs`.
 //!
-//! Usage: `cargo run --release -p np-bench --bin bench_serving [--smoke] [out.json]`
+//! Usage: `cargo run --release -p np-bench --bin bench_serving [-- --smoke]`
 
 use np_adaptive::FrameResult;
 use np_nn::init::SmallRng;
@@ -39,39 +37,8 @@ use np_tensor::parallel::{cpus_available, Pool};
 use np_tensor::Tensor;
 use np_zoo::channels::PROXY_INPUT;
 use np_zoo::ModelId;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 const TH: f32 = 0.05;
 const MAX_COALESCE: usize = 4;
@@ -133,15 +100,7 @@ fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = "BENCH_serving.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let smoke = std::env::args().skip(1).any(|arg| arg == "--smoke");
     let cpus = cpus_available();
     let pool = Pool::new(cpus);
     let (n_sessions, n_frames, reps) = if smoke { (4, 12, 5) } else { (8, 32, 5) };
@@ -210,10 +169,11 @@ fn main() {
     // ── Saturated multiplexing ─────────────────────────────────────────
     // Every frame arrives at t=0; the server drains the backlog one
     // frame per session per tick. This is the throughput scenario the
-    // speedup gate reads, and the stream it checks bit-exactness on.
+    // speedup gate reads, and every repetition's served streams are
+    // checked bit for bit against the isolated baseline.
     let mut mux_best_s = f64::INFINITY;
-    let mut mux_results: Vec<Vec<FrameResult>> = Vec::new();
-    for rep in 0..reps {
+    let mut exact = true;
+    for _ in 0..reps {
         let mut server = Server::new(
             &ens,
             pool,
@@ -241,19 +201,11 @@ fn main() {
                 results[sv.session.index()].push(sv.result);
             }
         }
-        let total = t0.elapsed().as_secs_f64();
-        if total < mux_best_s {
-            mux_best_s = total;
-        }
-        if rep == 0 {
-            mux_results = results;
-        } else {
-            assert_eq!(results, mux_results, "served results must be deterministic");
-        }
+        mux_best_s = mux_best_s.min(t0.elapsed().as_secs_f64());
+        exact &= results == baseline;
     }
     let aggregate_fps = total_frames as f64 / mux_best_s;
     let speedup = aggregate_fps / sequential_fps;
-    let exact = mux_results == baseline;
     eprintln!(
         "[bench_serving] multiplexed: {aggregate_fps:.0} fps aggregate, \
          {speedup:.2}x vs sequential, bit-exact: {exact}"
@@ -328,137 +280,47 @@ fn main() {
         agg.big_frames
     );
 
-    // Per-stream histogram telemetry from the SLO run (LogHistogram
-    // power-of-two buckets — coarser than the exact quantiles above).
-    let mut per_stream = String::new();
-    for (s, id) in ids.iter().enumerate() {
-        let st = server.stream_stats(*id).expect("live session");
-        let _ = writeln!(
-            per_stream,
-            "      {{\"session\": {s}, \"frames\": {}, \"big_frames\": {}, \
-             \"peak_queue_depth\": {}, \"p50_latency_us\": {}, \"p99_latency_us\": {}, \
-             \"max_latency_us\": {}}}{}",
-            st.frames,
-            st.big_frames,
-            st.peak_queue_depth,
-            st.p50_latency_us,
-            st.p99_latency_us,
-            st.max_latency_us,
-            if s + 1 < n_sessions { "," } else { "" },
-        );
-    }
-
-    // ── Zero-allocation steady state ───────────────────────────────────
-    // Serial pool (the counting-allocator convention: wider pools pay
-    // only the documented thread::scope spawns). After warm-up the
-    // submit/tick/commit loop — including a retire/re-admit cycle onto a
-    // recycled slot — must not touch the heap.
-    let mut zserver = Server::new(
-        &ens,
-        Pool::serial(),
-        ServeConfig {
-            max_sessions: n_sessions,
-            queue_capacity: 4,
-        },
-    );
-    let mut zids: Vec<SessionId> = (0..n_sessions)
-        .map(|_| zserver.admit(TH).expect("slab sized for the fleet"))
-        .collect();
-    let warm_frames = 8.min(n_frames);
-    for i in 0..warm_frames {
-        for (s, id) in zids.iter().enumerate() {
-            assert!(zserver.submit(*id, streams[s].frame(i), i as u64));
-        }
-        black_box(zserver.serve(i as u64).len());
-    }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for round in 0..3u64 {
-        for (s, id) in zids.iter().enumerate() {
-            assert!(zserver.submit(*id, streams[s].frame(round as usize), round));
-        }
-        black_box(zserver.serve(round).len());
-        // Churn one slot per round: retire, re-admit (recycles the warm
-        // arena), serve a frame through the fresh tenant.
-        let churn = round as usize % n_sessions;
-        assert!(zserver.retire(zids[churn]));
-        zids[churn] = zserver.admit(TH).expect("freelist slot available");
-        assert!(zserver.submit(zids[churn], streams[churn].frame(0), round));
-        black_box(zserver.serve(round).len());
-    }
-    let steady_allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    let allocated_slots = zserver.allocated_slots();
-    eprintln!(
-        "[bench_serving] steady-state allocs {steady_allocs} over 3 rounds with session \
-         churn ({allocated_slots} slots allocated, never freed)"
-    );
-
-    let session_bytes = server.session_bytes(ids[0]).expect("live session");
-    let shared_bytes = server.shared_bytes();
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"cpus_available\": {cpus},");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"sessions\": {n_sessions},");
-    let _ = writeln!(json, "  \"frames_per_session\": {n_frames},");
-    let _ = writeln!(json, "  \"max_coalesce\": {MAX_COALESCE},");
-    let _ = writeln!(json, "  \"session_bytes\": {session_bytes},");
-    let _ = writeln!(json, "  \"shared_bytes\": {shared_bytes},");
-    let _ = writeln!(json, "  \"sequential_fps\": {sequential_fps:.1},");
-    let _ = writeln!(json, "  \"aggregate_fps\": {aggregate_fps:.1},");
-    let _ = writeln!(json, "  \"speedup_vs_sequential\": {speedup:.3},");
-    let _ = writeln!(json, "  \"bit_exact_vs_isolated\": {exact},");
-    let _ = writeln!(json, "  \"isolated_p50_us\": {isolated_p50_us:.1},");
-    let _ = writeln!(json, "  \"isolated_p99_us\": {isolated_p99_us:.1},");
-    let _ = writeln!(json, "  \"slo\": {{");
-    let _ = writeln!(json, "    \"offered_util\": {util},");
-    let _ = writeln!(json, "    \"p50_us\": {slo_p50_us:.1},");
-    let _ = writeln!(json, "    \"p99_us\": {slo_p99_us:.1},");
-    let _ = writeln!(json, "    \"limit_us\": {slo_limit_us:.1},");
-    let _ = writeln!(
-        json,
-        "    \"gate_enforced\": {},",
-        if cpus > 1 { 1 } else { 0 }
-    );
-    let _ = writeln!(json, "    \"big_frames\": {},", agg.big_frames);
-    let _ = writeln!(json, "    \"peak_queue_depth\": {},", agg.peak_queue_depth);
-    let _ = writeln!(json, "    \"per_stream\": [\n{per_stream}    ]");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"steady_state_allocs\": {steady_allocs},");
-    let _ = writeln!(json, "  \"allocated_slots\": {allocated_slots}");
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("{json}");
-
     // ── Gates ──────────────────────────────────────────────────────────
-    assert!(exact, "served streams diverged from isolated FrameRunners");
-    if cpus > 1 {
-        assert!(
-            speedup >= 1.5,
-            "multiplexed serving only reached {speedup:.2}x of sequential on {cpus} CPUs \
-             (need >= 1.5x)"
-        );
-    } else {
-        assert!(
-            speedup >= 0.9,
-            "multiplexed serving regressed to {speedup:.2}x of sequential on 1 CPU \
-             (need >= 0.9x)"
-        );
-    }
-    if cpus > 1 {
-        assert!(
-            slo_p99_us <= slo_limit_us,
-            "served p99 {slo_p99_us:.0} µs blew the SLO ({slo_limit_us:.0} µs = \
-             {SLO_FACTOR}x isolated p99)"
-        );
-    } else {
+    // Each verdict is printed before any failure is reported, so one run
+    // shows every gate's reading.
+    let min_speedup = if cpus > 1 { 1.5 } else { 0.9 };
+    let gates = [
+        (
+            "exactness",
+            exact,
+            "served streams vs isolated FrameRunners".to_string(),
+        ),
+        (
+            "speedup",
+            speedup >= min_speedup,
+            format!("{speedup:.2}x of sequential on {cpus} CPU(s) (need >= {min_speedup}x)"),
+        ),
+        (
+            "slo",
+            cpus == 1 || slo_p99_us <= slo_limit_us,
+            format!(
+                "p99 {slo_p99_us:.0} µs vs {slo_limit_us:.0} µs = {SLO_FACTOR}x isolated p99{}",
+                if cpus == 1 {
+                    " (not gated on 1 CPU: collisions serialize)"
+                } else {
+                    ""
+                }
+            ),
+        ),
+    ];
+    for (name, pass, detail) in &gates {
         eprintln!(
-            "[bench_serving] note: SLO gate recorded but not asserted on 1 CPU \
-             (collisions serialize; p99/limit = {:.2})",
-            slo_p99_us / slo_limit_us
+            "[bench_serving] gate {name}: {} — {detail}",
+            if *pass { "pass" } else { "FAIL" }
         );
     }
-    assert_eq!(steady_allocs, 0, "serving loop allocated in steady state");
-    eprintln!("[bench_serving] wrote {out_path}");
+    let failed: Vec<&str> = gates
+        .iter()
+        .filter(|(_, pass, _)| !pass)
+        .map(|(name, _, _)| *name)
+        .collect();
+    if !failed.is_empty() {
+        eprintln!("[bench_serving] failed gates: {}", failed.join(", "));
+        std::process::exit(1);
+    }
 }

@@ -98,9 +98,8 @@ pub fn main() {
     }
 
     // --- Assemble BENCH_calib.json --------------------------------------
-    // Leaf names are chosen to stay `bench_compare`-neutral: coefficients
-    // and drift percentages may move run to run with host noise; nothing
-    // here should trip the lower-is-better `*_ns` / `*bytes*` heuristics.
+    // A record of this fit, not a baseline: coefficients and drift
+    // percentages move run to run with host noise.
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"cpus_available\": {cpus},");

@@ -6,12 +6,22 @@
 use nanopose::dory::plan::activation_bytes;
 use nanopose::nn::init::SmallRng;
 use nanopose::nn::NetworkDesc;
-use nanopose::quant::QuantizedNetwork;
+use nanopose::quant::{QScratch, QuantizedNetwork};
 use nanopose::tensor::arena::{chain_reqs, plan_arena};
 use nanopose::tensor::Tensor;
 use nanopose::zoo::ModelId;
 
 const MODELS: [ModelId; 3] = [ModelId::F1, ModelId::F2, ModelId::M10];
+
+/// Memory footprints of the compiled F1 / F2 / M1.0 proxies, as
+/// `(arena_bytes, packed_weight_bytes, QScratch bytes)`. They follow from
+/// the layer shapes and the planner alone, so they pin a layout change
+/// exactly, whatever the weights or the host.
+const FOOTPRINTS: [(usize, usize, usize); 3] = [
+    (38_400, 14_064, 63_376),
+    (48_000, 44_160, 72_976),
+    (53_760, 47_776, 76_816),
+];
 
 /// The activation chain of a network at layer granularity: the input
 /// tensor, then each layer's output, in execution order.
@@ -57,10 +67,20 @@ fn compiled_programs_fit_the_dory_budget() {
             .map(|i| ((i * 37) % 255) as f32 / 127.5 - 1.0)
             .collect(),
     );
-    for id in MODELS {
+    for (id, footprint) in MODELS.into_iter().zip(FOOTPRINTS) {
         let net = id.build_proxy(&mut rng);
         let desc = net.describe(chw);
         let program = QuantizedNetwork::quantize(&net, &calib).compile(chw);
+        assert_eq!(
+            (
+                program.arena_bytes(),
+                program.packed_weight_bytes(),
+                QScratch::for_program(&program).bytes()
+            ),
+            footprint,
+            "{}: (arena, packed weight, scratch) bytes",
+            program.name()
+        );
         // The program plans with buffer reuse (and ReLU fused in-place), so
         // its arena can only be at or below the ping-pong budget.
         assert!(

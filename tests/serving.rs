@@ -131,6 +131,35 @@ fn paper_ensembles_served_bit_exact_across_pool_widths() {
     }
 }
 
+/// A D1 server's memory footprint: bytes private to one session (its
+/// scratch and frame queue) and bytes shared by all of them (packed
+/// weights and the coalescing scratch), after every session's first
+/// frame has run the full ensemble. Both follow from the layer shapes
+/// and the server configuration alone, so they are pinned exactly.
+#[test]
+fn d1_server_footprint_is_pinned() {
+    let calib = frames(4, 7, PROXY_INPUT);
+    let mut rng = SmallRng::seed(3);
+    let f1 = QuantizedNetwork::quantize(&ModelId::F1.build_proxy(&mut rng), &calib);
+    let m10 = QuantizedNetwork::quantize(&ModelId::M10.build_proxy(&mut rng), &calib);
+    let ens = ServingEnsemble::compile(&f1, &m10, PROXY_INPUT, 4);
+    let config = ServeConfig {
+        max_sessions: 4,
+        queue_capacity: 12,
+    };
+    let mut server = Server::new(&ens, Pool::serial(), config);
+    let ids: Vec<SessionId> = (0..4).map(|_| server.admit(0.05).unwrap()).collect();
+    let frame = frames(1, 8, PROXY_INPUT);
+    for &id in &ids {
+        assert!(server.submit(id, frame.as_slice(), 0));
+    }
+    assert_eq!(server.serve(0).len(), 4);
+    for id in ids {
+        assert_eq!(server.session_bytes(id), Some(247_792));
+    }
+    assert_eq!(server.shared_bytes(), 430_544);
+}
+
 /// The OP policy on dropped frames: with one queue slot, the second of
 /// two submits per session per tick is refused, and a refused frame must
 /// never reach the session's policy. So each session's results equal an

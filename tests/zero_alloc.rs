@@ -1,12 +1,14 @@
 //! Proof of the "zero-allocation steady state" claim: a counting global
 //! allocator wraps the system allocator, and after one warm-up frame the
-//! compiled programs (and the streaming [`FrameRunner`]) must perform
-//! exactly zero heap allocations per frame on a serial pool.
+//! compiled F1 / F2 / M1.0 programs (unit and batched), the streaming
+//! [`FrameRunner`] of both paper ensembles and the `np-serve` tick loop
+//! must perform exactly zero heap allocations per frame on a serial pool.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! pollute the allocation counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nanopose::adaptive::FrameRunner;
@@ -95,35 +97,45 @@ fn build_dw_heavy(rng: &mut SmallRng) -> Sequential {
     )
 }
 
+/// The paper's three proxies: F1 and F2 are the little members of D1
+/// and D2, M1.0 the big member of both.
+const PROXIES: [ModelId; 3] = [ModelId::F1, ModelId::F2, ModelId::M10];
+
+/// Runs `f` once to warm up, then asserts that each of three more calls
+/// performs zero heap allocations.
+fn assert_steady(what: &str, mut f: impl FnMut()) {
+    f();
+    for _ in 0..3 {
+        let (n, ()) = allocs_during(&mut f);
+        assert_eq!(n, 0, "{what} allocated in steady state");
+    }
+}
+
 #[test]
 fn steady_state_frames_do_not_allocate() {
     let pool = Pool::serial();
     let calib = frames(3, 50);
     let mut rng = SmallRng::seed(77);
-
-    // --- Quantized program: int8 entry and float entry -------------------
-    let net = ModelId::F1.build_proxy(&mut rng);
-    let qnet = QuantizedNetwork::quantize(&net, &calib);
-    let program = qnet.compile(PROXY_INPUT);
-    let mut scratch = QScratch::new();
+    let qnets: Vec<QuantizedNetwork> = PROXIES
+        .iter()
+        .map(|id| QuantizedNetwork::quantize(&id.build_proxy(&mut rng), &calib))
+        .collect();
     let frame = frames(1, 51);
-    let q = qnet.input_params().quantize_slice(frame.as_slice());
+    let moved = frames(1, 52);
+    let frame_len = frame.as_slice().len();
 
-    // Warm-up grows the scratch to the program's planned sizes.
-    let _ = program.run_int_prepacked(pool, &mut scratch, &q);
-    for _ in 0..3 {
-        let (n, _) = allocs_during(|| {
-            let (out, _) = program.run_int_prepacked(pool, &mut scratch, &q);
-            out[0]
+    // --- Quantized programs: int8 entry and float entry, every proxy -----
+    // Warm-up grows an empty scratch to the program's planned sizes.
+    for (id, qnet) in PROXIES.iter().zip(&qnets) {
+        let program = qnet.compile(PROXY_INPUT);
+        let mut scratch = QScratch::new();
+        let q = qnet.input_params().quantize_slice(frame.as_slice());
+        assert_steady(&format!("{} run_int_prepacked", id.name()), || {
+            black_box(program.run_int_prepacked(pool, &mut scratch, &q));
         });
-        assert_eq!(n, 0, "run_int_prepacked allocated in steady state");
-    }
-
-    let _ = program.forward_prepacked(pool, &mut scratch, frame.as_slice());
-    for _ in 0..3 {
-        let (n, _) =
-            allocs_during(|| program.forward_prepacked(pool, &mut scratch, frame.as_slice())[0]);
-        assert_eq!(n, 0, "forward_prepacked allocated in steady state");
+        assert_steady(&format!("{} forward_prepacked", id.name()), || {
+            black_box(program.forward_prepacked(pool, &mut scratch, frame.as_slice()));
+        });
     }
 
     // --- Depthwise-heavy ragged-channel network --------------------------
@@ -135,75 +147,64 @@ fn steady_state_frames_do_not_allocate() {
     let dwprogram = qdw.compile(PROXY_INPUT);
     let mut dwscratch = QScratch::for_program(&dwprogram);
     let qdw_in = qdw.input_params().quantize_slice(frame.as_slice());
-    let _ = dwprogram.run_int_prepacked(pool, &mut dwscratch, &qdw_in);
-    for _ in 0..3 {
-        let (n, _) = allocs_during(|| {
-            let (out, _) = dwprogram.run_int_prepacked(pool, &mut dwscratch, &qdw_in);
-            out[0]
-        });
-        assert_eq!(n, 0, "dw-heavy run_int_prepacked allocated in steady state");
-    }
-
-    // --- Batched steady state --------------------------------------------
-    // The cross-frame batched pass shares every guarantee of the
-    // per-frame one: after the scratch is warm, a whole B=8 group runs
-    // without touching the heap — im2row staging, the batched microkernel
-    // sweep, depthwise planes, and the linear loop included.
-    let bprogram = qnet.compile_batched(PROXY_INPUT, 8);
-    let mut bscratch = QScratch::for_program(&bprogram);
-    let batch_frames = frames(8, 53);
-    let qbatch = qnet.input_params().quantize_slice(batch_frames.as_slice());
-    let _ = bprogram.run_int_batched(pool, &mut bscratch, &qbatch, 8);
-    for _ in 0..3 {
-        let (n, _) = allocs_during(|| {
-            let (out, _) = bprogram.run_int_batched(pool, &mut bscratch, &qbatch, 8);
-            out[0]
-        });
-        assert_eq!(n, 0, "run_int_batched allocated in steady state");
-    }
-    // Partial batches reuse a prefix of the same plan: still zero.
-    let (n, _) = allocs_during(|| {
-        let (out, _) =
-            bprogram.run_int_batched(pool, &mut bscratch, &qbatch[..3 * qbatch.len() / 8], 3);
-        out[0]
+    assert_steady("dw-heavy run_int_prepacked", || {
+        black_box(dwprogram.run_int_prepacked(pool, &mut dwscratch, &qdw_in));
     });
-    assert_eq!(n, 0, "partial run_int_batched allocated in steady state");
 
-    let _ = bprogram.forward_batched(pool, &mut bscratch, batch_frames.as_slice(), 8);
-    for _ in 0..3 {
-        let (n, _) = allocs_during(|| {
-            bprogram.forward_batched(pool, &mut bscratch, batch_frames.as_slice(), 8)[0]
+    // --- Batched steady state, every proxy -------------------------------
+    // The cross-frame batched pass shares every guarantee of the
+    // per-frame one: after the scratch is warm, 8 frames run in groups of
+    // B without touching the heap — im2row staging, the batched
+    // microkernel sweep, depthwise planes, and the linear loop included.
+    let batch_frames = frames(8, 53);
+    for (id, qnet) in PROXIES.iter().zip(&qnets) {
+        let bprogram = qnet.compile_batched(PROXY_INPUT, 8);
+        let mut bscratch = QScratch::for_program(&bprogram);
+        let qbatch = qnet.input_params().quantize_slice(batch_frames.as_slice());
+        let mut run_groups = |b: usize| {
+            for group in qbatch.chunks_exact(b * frame_len) {
+                black_box(bprogram.run_int_batched(pool, &mut bscratch, group, b));
+            }
+        };
+        assert_steady(&format!("{} run_int_batched at B=8", id.name()), || {
+            run_groups(8)
         });
-        assert_eq!(n, 0, "forward_batched allocated in steady state");
+        // Smaller and partial groups reuse a prefix of the same plan: zero
+        // from their first call.
+        for b in [4, 2, 1, 3] {
+            let (n, ()) = allocs_during(|| run_groups(b));
+            assert_eq!(n, 0, "{} run_int_batched at B={b} allocated", id.name());
+        }
+        assert_steady(&format!("{} forward_batched", id.name()), || {
+            black_box(bprogram.forward_batched(pool, &mut bscratch, batch_frames.as_slice(), 8));
+        });
     }
 
-    // --- Streaming runner: both the ensemble and the small-only path -----
-    let big = ModelId::M10.build_proxy(&mut rng);
-    let qbig = QuantizedNetwork::quantize(&big, &calib);
-    let mut runner = FrameRunner::new(&qnet, &qbig, PROXY_INPUT, 0.5, pool);
-    let _ = runner.run_frame(frame.as_slice()); // first frame: ensemble warm-up
-    let moved = frames(1, 52);
-    let (n, r) = allocs_during(|| runner.run_frame(moved.as_slice()));
-    assert_eq!(
-        n, 0,
-        "FrameRunner frame allocated (decision {:?})",
-        r.decision
-    );
-    let (n, r) = allocs_during(|| runner.run_frame(moved.as_slice()));
-    assert_eq!(
-        n, 0,
-        "FrameRunner frame allocated (decision {:?})",
-        r.decision
-    );
-    assert!(!r.decision.runs_big(), "identical frame should stay small");
+    // --- Streaming runners: D1 and D2, both policy paths -----------------
+    // At th = 0 a new frame moves the little outputs and runs the
+    // ensemble, and its repeat runs the little model alone.
+    let big = &qnets[2];
+    for (name, little) in [("D1", &qnets[0]), ("D2", &qnets[1])] {
+        let mut runner = FrameRunner::new(little, big, PROXY_INPUT, 0.0, pool);
+        let _ = runner.run_frame(frame.as_slice()); // first frame: ensemble warm-up
+        for (i, x) in [&moved, &moved, &frame, &frame].into_iter().enumerate() {
+            let (n, r) = allocs_during(|| runner.run_frame(x.as_slice()));
+            assert_eq!(
+                n, 0,
+                "{name} FrameRunner frame allocated (decision {:?})",
+                r.decision
+            );
+            assert_eq!(r.decision.runs_big(), i % 2 == 0, "{name} frame {i}");
+        }
+    }
 
     // --- Serving: session slab + multiplexed tick loop -------------------
     // Admission hands out warm slab slots, and the steady submit → tick →
     // commit cycle across several sessions — little passes into private
     // arenas, policy walk, cross-session coalesced big passes — must not
-    // touch the heap. Retiring a session and admitting a replacement
-    // recycles the retired arena rather than freeing it.
-    let ens = ServingEnsemble::compile(&qnet, &qbig, PROXY_INPUT, 3);
+    // touch the heap. Every round also retires one session and admits a
+    // replacement, which recycles the retired arena rather than freeing it.
+    let ens = ServingEnsemble::compile(&qnets[0], big, PROXY_INPUT, 3);
     let mut server = Server::new(
         &ens,
         pool,
@@ -224,24 +225,23 @@ fn steady_state_frames_do_not_allocate() {
         let _ = server.serve(t);
     }
     let slots_before = server.allocated_slots();
-    let (n, _) = allocs_during(|| {
-        let mut served = 0;
-        for t in 0..3u64 {
+    for t in 0..3u64 {
+        let (n, _) = allocs_during(|| {
             for id in &ids {
                 assert!(server.submit(*id, frame.as_slice(), t));
             }
-            served += server.serve(t).len();
-        }
-        served
-    });
-    assert_eq!(n, 0, "steady multi-session serving loop allocated");
-    let (n, _) = allocs_during(|| {
-        assert!(server.retire(ids[0]));
-        ids[0] = server.admit(0.5).expect("freelist slot available");
-        assert!(server.submit(ids[0], moved.as_slice(), 9));
-        server.serve(9).len()
-    });
-    assert_eq!(n, 0, "session admit/retire churn allocated");
+            server.serve(t).len()
+        });
+        assert_eq!(n, 0, "steady multi-session serving round {t} allocated");
+        let churn = t as usize % ids.len();
+        let (n, _) = allocs_during(|| {
+            assert!(server.retire(ids[churn]));
+            ids[churn] = server.admit(0.5).expect("freelist slot available");
+            assert!(server.submit(ids[churn], moved.as_slice(), t));
+            server.serve(t).len()
+        });
+        assert_eq!(n, 0, "session admit/retire churn allocated in round {t}");
+    }
     assert_eq!(
         server.allocated_slots(),
         slots_before,
@@ -254,6 +254,14 @@ fn steady_state_frames_do_not_allocate() {
     // instrumented hot path still performs zero heap allocations.
     #[cfg(feature = "trace")]
     {
+        let program = qnets[0].compile(PROXY_INPUT);
+        let mut scratch = QScratch::for_program(&program);
+        let q = qnets[0].input_params().quantize_slice(frame.as_slice());
+        let bprogram = qnets[0].compile_batched(PROXY_INPUT, 8);
+        let mut bscratch = QScratch::for_program(&bprogram);
+        let mut runner = FrameRunner::new(&qnets[0], big, PROXY_INPUT, 0.5, pool);
+        let _ = runner.run_frame(moved.as_slice()); // first frame: ensemble warm-up
+
         nanopose::trace::install(nanopose::trace::TraceConfig::default());
         nanopose::trace::enable();
 
